@@ -141,6 +141,8 @@ fn main() {
         "rc4 over {mb} MB: {mbps:.1} MB/s (paper: ~50 MB/s on a 600 MHz Celeron; \
          a 16 MB file took ~0.32 s)"
     );
+    let chacha = ve_chacha20_throughput_mb_s(mb);
+    println!("chacha20 over {mb} MB: {chacha:.1} MB/s (modern-cipher ablation)");
     println!();
 
     println!("--- Section V-D (analytic cross-check) ---");

@@ -5,7 +5,7 @@
 //! replaced by its backup. This module makes the first half honest: it
 //! defines the write-ahead-log records and checkpoint images that an
 //! area controller and the registration server commit to simulated
-//! stable storage ([`mykil_net::NodeStorage`]), so that a crash wipes
+//! stable storage ([`mykil_net::StableStore`]), so that a crash wipes
 //! volatile memory but `on_restarted` can rebuild from the durable
 //! prefix.
 //!
@@ -94,7 +94,7 @@ pub enum AcWalRecord {
 }
 
 impl AcWalRecord {
-    /// Serializes the record for [`mykil_net::NodeStorage::wal_commit`].
+    /// Serializes the record for [`mykil_net::StableStore::wal_commit`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
@@ -218,7 +218,7 @@ pub struct AcCheckpoint {
 
 impl AcCheckpoint {
     /// Serializes the checkpoint for
-    /// [`mykil_net::NodeStorage::checkpoint`].
+    /// [`mykil_net::StableStore::checkpoint`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         if self.primary {
@@ -465,7 +465,7 @@ pub struct DurableAcView {
 }
 
 /// Replays an area controller's durable state (as returned by
-/// [`mykil_net::NodeStorage::load`]) into the view recovery must
+/// [`mykil_net::StableStore::load`]) into the view recovery must
 /// produce. `None` only when the checkpoint exists but does not parse;
 /// unparseable WAL records end the replay early (mirroring recovery's
 /// torn-tail handling).

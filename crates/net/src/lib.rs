@@ -72,8 +72,6 @@ pub use id::{GroupId, NodeId};
 pub use latency::LatencyModel;
 pub use sim::{Node, Simulator, StorageFactory};
 pub use stats::Stats;
-pub use storage::{
-    FaultyStore, NodeStorage, Recovered, SecretBytes, SimStore, StableStore, StoreFault,
-};
+pub use storage::{FaultyStore, Recovered, SecretBytes, SimStore, StableStore, StoreFault};
 pub use time::{Duration, Time};
 pub use trace::{DropReason, TraceEvent};

@@ -5,8 +5,7 @@
 //! from any callback via [`Context::storage`](crate::Context::storage).
 //! Three implementations ship:
 //!
-//! - [`SimStore`] — the in-memory simulated device (the historical
-//!   `NodeStorage`, which remains as a type alias). Deterministic,
+//! - [`SimStore`] — the in-memory simulated device. Deterministic,
 //!   allocation-only, with built-in lying-fsync and checkpoint-bit-rot
 //!   fault hooks. This is the default backend for every simulation.
 //! - [`FileStore`](crate::FileStore) — real files: an append-only WAL
@@ -262,10 +261,6 @@ enum ArmedFault {
     /// and discards the rest.
     TornWrite,
 }
-
-/// The historical name of [`SimStore`], kept so existing deployments
-/// and tests read unchanged.
-pub type NodeStorage = SimStore;
 
 /// Simulated stable storage for one node. See the [module docs](self).
 #[derive(Debug)]

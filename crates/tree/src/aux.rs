@@ -4,7 +4,7 @@
 //! from a key tree: the area key, member paths, join/leave/batch
 //! planning, snapshot/restore and the invariant checker. Both concrete
 //! backends ([`KeyTree`], [`KhfTree`]) implement it through one blanket
-//! impl, so generic code (the equivalence proptests, perfgate) is
+//! impl, so generic code (the equivalence proptests, the perf gate) is
 //! written once.
 //!
 //! [`AreaTree`] is the runtime-selected form an area controller holds:

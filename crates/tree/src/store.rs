@@ -83,7 +83,7 @@ pub trait KeyStore: Clone + std::fmt::Debug {
     ) -> SymmetricKey;
 
     /// Bytes of key material resident in memory (the controller
-    /// storage cost perfgate tracks per backend).
+    /// storage cost the perf gate tracks per backend).
     fn resident_key_bytes(&self) -> usize;
 
     // ---- snapshot plumbing (see `snapshot.rs`) ----
