@@ -1,7 +1,7 @@
 //! The perf gate: one binary for the three committed baselines.
 //!
 //! ```text
-//! gate rekey                              # rekey hot path, RSA-2048 (BENCH_rekey.json)
+//! gate rekey                              # rekey hot path, RSA (BENCH_rekey.json)
 //! gate scale [--smoke]                    # flash-crowd join + mass leave (BENCH_scale.json)
 //! gate mobility [--smoke]                 # mobility storm under chaos faults (BENCH_mobility.json)
 //!      --write | --check <path> | --out <path> | --dump-dir <dir>

@@ -1,9 +1,11 @@
 //! The `rekey` suite: the rekey hot path on both tree backends
 //! (explicit keys and the keyed-hash forest), the wire codec and the
-//! RSA-2048 operations, under the counting allocator. Allocations/op,
-//! bytes/op and resident key bytes are deterministic for the fixed
-//! seeds; the KHF backend's resident key bytes must stay sublinear
-//! (< 1/4) relative to the explicit backend's O(n) at 5000 members.
+//! RSA operations at 768 bits (the key size of the whole-protocol
+//! benchmark) and 2048 bits (the paper's), under the counting
+//! allocator. Allocations/op, bytes/op and resident key bytes are
+//! deterministic for the fixed seeds; the KHF backend's resident key
+//! bytes must stay sublinear (< 1/4) relative to the explicit
+//! backend's O(n) at 5000 members.
 
 use mykil::rekey::write_entries_from_plan;
 use mykil::wire::{Reader, Writer};
@@ -19,6 +21,9 @@ pub fn run(rounds: &mut Rounds) -> Result<Vec<Row>, Abort> {
     let mut rng = Drbg::from_seed(0xBE9C_0005);
     // mykil-lint: allow(L001) -- fixed-seed keygen cannot fail
     let pair = RsaKeyPair::generate(2048, &mut rng).expect("2048-bit keygen");
+    let mut rng = Drbg::from_seed(0xBE9C_0008);
+    // mykil-lint: allow(L001) -- fixed-seed keygen cannot fail
+    let pair768 = RsaKeyPair::generate(768, &mut rng).expect("768-bit keygen");
     let rows = vec![
         rounds.measure(|| Ok(rekey_single_leave::<ExplicitKeys>("rekey_single_leave")))?,
         rounds.measure(|| Ok(rekey_single_leave::<KhfKeys>("rekey_single_leave_khf")))?,
@@ -27,8 +32,10 @@ pub fn run(rounds: &mut Rounds) -> Result<Vec<Row>, Abort> {
         rounds.measure(|| Ok(resident_keys_5000::<ExplicitKeys>("resident_keys_5000")))?,
         rounds.measure(|| Ok(resident_keys_5000::<KhfKeys>("resident_keys_5000_khf")))?,
         rounds.measure(|| Ok(wire_encode_decode()))?,
-        rounds.measure(|| Ok(rsa2048_private(&pair)))?,
-        rounds.measure(|| Ok(rsa2048_public(&pair)))?,
+        rounds.measure(|| Ok(rsa_private("rsa2048_private", &pair, 10)))?,
+        rounds.measure(|| Ok(rsa_public("rsa2048_public", &pair, 200)))?,
+        rounds.measure(|| Ok(rsa_private("rsa768_private", &pair768, 100)))?,
+        rounds.measure(|| Ok(rsa_public("rsa768_public", &pair768, 1000)))?,
     ];
 
     // The KHF backend's reason to exist: resident key bytes must be
@@ -216,12 +223,11 @@ fn wire_encode_decode() -> Row {
     )
 }
 
-/// RSA-2048 private operation (OAEP decrypt of a wrapped 16-byte key),
-/// the paper's key size. Bytes/op is the recovered plaintext.
-fn rsa2048_private(pair: &RsaKeyPair) -> Row {
-    const OPS: u64 = 10;
+/// RSA private operation (OAEP decrypt of a wrapped 16-byte key).
+/// Bytes/op is the recovered plaintext.
+fn rsa_private(name: &'static str, pair: &RsaKeyPair, ops: u64) -> Row {
     let mut rng = Drbg::from_seed(0xBE9C_0006);
-    // mykil-lint: allow(L001) -- a 16-byte message fits any 2048-bit OAEP block
+    // mykil-lint: allow(L001) -- a 16-byte message fits any OAEP block of 768 bits or more
     let ct = pair
         .public()
         .encrypt(&[0x42; 16], &mut rng)
@@ -229,30 +235,23 @@ fn rsa2048_private(pair: &RsaKeyPair) -> Row {
     let mut bytes = 0u64;
     let t0 = Instant::now();
     let a0 = alloc_count();
-    for _ in 0..OPS {
+    for _ in 0..ops {
         // mykil-lint: allow(L001) -- ciphertext made for this key above
         bytes += black_box(pair.decrypt(&ct).expect("oaep decrypt")).len() as u64;
     }
     let allocs = alloc_count() - a0;
-    row(
-        "rsa2048_private",
-        OPS,
-        t0.elapsed(),
-        bytes as f64 / OPS as f64,
-        allocs,
-    )
+    row(name, ops, t0.elapsed(), bytes as f64 / ops as f64, allocs)
 }
 
-/// RSA-2048 public operation (OAEP encrypt of a 16-byte key). Bytes/op
-/// is the ciphertext.
-fn rsa2048_public(pair: &RsaKeyPair) -> Row {
-    const OPS: u64 = 200;
+/// RSA public operation (OAEP encrypt of a 16-byte key). Bytes/op is
+/// the ciphertext.
+fn rsa_public(name: &'static str, pair: &RsaKeyPair, ops: u64) -> Row {
     let mut rng = Drbg::from_seed(0xBE9C_0007);
     let mut bytes = 0u64;
     let t0 = Instant::now();
     let a0 = alloc_count();
-    for _ in 0..OPS {
-        // mykil-lint: allow(L001) -- a 16-byte message fits any 2048-bit OAEP block
+    for _ in 0..ops {
+        // mykil-lint: allow(L001) -- a 16-byte message fits any OAEP block of 768 bits or more
         let ct = pair
             .public()
             .encrypt(&[0x42; 16], &mut rng)
@@ -260,11 +259,5 @@ fn rsa2048_public(pair: &RsaKeyPair) -> Row {
         bytes += black_box(ct).len() as u64;
     }
     let allocs = alloc_count() - a0;
-    row(
-        "rsa2048_public",
-        OPS,
-        t0.elapsed(),
-        bytes as f64 / OPS as f64,
-        allocs,
-    )
+    row(name, ops, t0.elapsed(), bytes as f64 / ops as f64, allocs)
 }

@@ -96,7 +96,7 @@ impl Row {
 /// The three committed baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suite {
-    /// Rekey hot path on both tree backends, wire codec, RSA-2048.
+    /// Rekey hot path on both tree backends, wire codec, RSA-768/2048.
     Rekey,
     /// Million-member flash-crowd join and mass leave.
     Scale,

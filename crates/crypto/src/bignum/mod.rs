@@ -31,7 +31,7 @@ mod mul;
 mod random;
 mod shift;
 
-pub use montgomery::MontgomeryCtx;
+pub(crate) use montgomery::MontgomeryCtx;
 
 use std::cmp::Ordering;
 use std::fmt;

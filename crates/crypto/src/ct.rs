@@ -43,6 +43,15 @@ pub fn zeroize_u32(words: &mut [u32]) {
     core::sync::atomic::compiler_fence(core::sync::atomic::Ordering::SeqCst);
 }
 
+/// [`zeroize`] for `u64` words (Montgomery scratch).
+pub fn zeroize_u64(words: &mut [u64]) {
+    for w in words.iter_mut() {
+        // SAFETY: `w` is a valid, aligned, exclusive reference.
+        unsafe { core::ptr::write_volatile(w, 0) };
+    }
+    core::sync::atomic::compiler_fence(core::sync::atomic::Ordering::SeqCst);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,5 +84,8 @@ mod tests {
         let mut words = [0xDEADBEEFu32; 16];
         zeroize_u32(&mut words);
         assert!(words.iter().all(|&w| w == 0));
+        let mut wide = [0xDEAD_BEEF_CAFE_F00Du64; 16];
+        zeroize_u64(&mut wide);
+        assert!(wide.iter().all(|&w| w == 0));
     }
 }

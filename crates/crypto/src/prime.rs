@@ -5,7 +5,7 @@
 //! bases. Error probability after `t` rounds is at most `4^-t`; the
 //! default of 20 rounds is far below any systems-level concern.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, MontgomeryCtx};
 use crate::CryptoError;
 use rand::RngCore;
 
@@ -58,23 +58,14 @@ pub fn is_probably_prime<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &
         s += 1;
     }
 
+    // One Montgomery context serves every round.
+    let ctx = MontgomeryCtx::new(n).expect("odd modulus > 1");
     let two = BigUint::from(2_u32);
     let n_minus_2 = n - &two;
-    'witness: for _ in 0..rounds {
+    (0..rounds).all(|_| {
         let a = BigUint::random_range(&two, &n_minus_2, rng);
-        let mut x = a.modpow(&d, n).expect("odd modulus > 1");
-        if x.is_one() || x == n_minus_1 {
-            continue;
-        }
-        for _ in 0..s - 1 {
-            x = x.square().rem(n).expect("nonzero modulus");
-            if x == n_minus_1 {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
+        ctx.strong_probable_prime(&a, &d, s)
+    })
 }
 
 /// Generates a random prime with exactly `bits` significant bits.

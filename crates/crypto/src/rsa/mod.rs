@@ -52,10 +52,14 @@ impl RsaPublicKey {
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidParameter`] for a modulus smaller
-    /// than 256 bits or an even/unit exponent.
+    /// than 256 bits, an even modulus (never a product of two odd
+    /// primes) or an even/unit exponent.
     pub fn from_components(n: BigUint, e: BigUint) -> Result<Self, CryptoError> {
         if n.bit_len() < 256 {
             return Err(CryptoError::InvalidParameter("modulus below 256 bits"));
+        }
+        if n.is_even() {
+            return Err(CryptoError::InvalidParameter("even modulus"));
         }
         if e.is_even() || e.is_one() || e.is_zero() {
             return Err(CryptoError::InvalidParameter("bad public exponent"));
@@ -262,6 +266,23 @@ mod tests {
         let mut ok = pair768().public().to_bytes();
         ok.push(0); // trailing garbage
         assert!(RsaPublicKey::from_bytes(&ok).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_even_modulus() {
+        // A peer-supplied 768-bit even modulus: well-formed encoding,
+        // full width, good exponent.
+        let mut n = pair768().public().modulus().clone();
+        n.add_u32_assign(1);
+        assert_eq!(n.bit_len(), 768);
+        let mut bytes = (96u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(&n.to_bytes_be());
+        bytes.extend_from_slice(&3u32.to_be_bytes());
+        bytes.extend_from_slice(&[0x01, 0x00, 0x01]);
+        assert!(matches!(
+            RsaPublicKey::from_bytes(&bytes),
+            Err(CryptoError::InvalidParameter("even modulus"))
+        ));
     }
 
     #[test]

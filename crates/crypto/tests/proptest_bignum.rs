@@ -11,6 +11,45 @@ fn biguint() -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), 0..24).prop_map(|v| BigUint::from_bytes_be(&v))
 }
 
+/// Strategy: an odd modulus of 1–40 `u32` limbs with a nonzero top
+/// limb. Odd limb counts leave the top `u64` word of the Montgomery
+/// engine half-empty.
+fn odd_modulus() -> impl Strategy<Value = BigUint> {
+    proptest::collection::vec(any::<u32>(), 1..41).prop_map(|mut limbs| {
+        limbs[0] |= 1;
+        let top = limbs.len() - 1;
+        limbs[top] = limbs[top].max(1);
+        let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
+        BigUint::from_bytes_be(&bytes)
+    })
+}
+
+/// Strategy: exponents 0 and 1, below 64 bits, and 64 bits or more.
+fn exponent() -> impl Strategy<Value = BigUint> {
+    prop_oneof![
+        Just(BigUint::zero()),
+        Just(BigUint::one()),
+        any::<u64>().prop_map(|e| BigUint::from((e >> 1) >> (e % 64))),
+        proptest::collection::vec(any::<u8>(), 8..48).prop_map(|mut v| {
+            v[0] |= 1;
+            BigUint::from_bytes_be(&v)
+        }),
+    ]
+}
+
+/// Left-to-right square-and-multiply on plain `(a*b).rem(m)`.
+fn ladder(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let base = base.rem(m).unwrap();
+    let mut acc = BigUint::one().rem(m).unwrap();
+    for i in (0..exp.bit_len()).rev() {
+        acc = (&acc * &acc).rem(m).unwrap();
+        if exp.bit(i) {
+            acc = (&acc * &base).rem(m).unwrap();
+        }
+    }
+    acc
+}
+
 /// Strategy: a nonzero BigUint.
 fn biguint_nonzero() -> impl Strategy<Value = BigUint> {
     biguint().prop_map(|n| if n.is_zero() { BigUint::one() } else { n })
@@ -87,6 +126,22 @@ proptest! {
             .rem(&m)
             .unwrap();
         prop_assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn modpow_odd_matches_ladder(
+        m in odd_modulus(),
+        raw in proptest::collection::vec(any::<u8>(), 0..176),
+        at_least_m in any::<bool>(),
+        e in exponent(),
+    ) {
+        // Raw bases run up to 44 limbs, so some exceed m on their own;
+        // `at_least_m` forces base >= m.
+        let mut base = BigUint::from_bytes_be(&raw);
+        if at_least_m {
+            base = &base + &m;
+        }
+        prop_assert_eq!(base.modpow(&e, &m).unwrap(), ladder(&base, &e, &m));
     }
 
     #[test]
