@@ -2,7 +2,7 @@
 //! admission path used by joins and rejoins.
 
 use super::{AreaController, MemberRecord, PendingAdmission};
-use crate::durable::AcWalRecord;
+use crate::durable::{AcWalRecord, DurableMember};
 use crate::error::ProtocolError;
 use crate::identity::{ClientId, DeviceId};
 use crate::msg::Msg;
@@ -190,13 +190,13 @@ impl AreaController {
         // member that believes it was admitted.
         self.wal_commit_record(
             ctx,
-            &AcWalRecord::Join {
+            &AcWalRecord::Join(DurableMember {
                 client: client.0,
                 node: node.index() as u32,
                 pubkey: pubkey_bytes,
                 device: device.map(|d| d.0),
                 valid_until_us: valid_until.as_micros(),
-            },
+            }),
         );
 
         Ok(Welcome {

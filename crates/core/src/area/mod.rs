@@ -69,6 +69,20 @@ pub(crate) struct MemberRecord {
     pub last_heard: Time,
 }
 
+impl MemberRecord {
+    /// Rebuilds a member from its durable record, with a fresh liveness
+    /// grace period from `now`; `None` if the key does not parse.
+    pub(crate) fn restore(m: &crate::durable::DurableMember, now: Time) -> Option<MemberRecord> {
+        Some(MemberRecord {
+            node: NodeId::from_index(m.node as usize),
+            pubkey: RsaPublicKey::from_bytes(&m.pubkey).ok()?,
+            device: m.device.map(DeviceId),
+            valid_until: Time::from_micros(m.valid_until_us),
+            last_heard: now,
+        })
+    }
+}
+
 /// A client admitted by the RS (join step 4) awaiting its step 6.
 #[derive(Debug)]
 pub(crate) struct PendingAdmission {

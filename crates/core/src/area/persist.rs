@@ -8,24 +8,27 @@
 //!   node;
 //! - a full checkpoint ([`crate::durable::AcCheckpoint`]) at every
 //!   compaction point: rekey flushes, snapshot applications, role
-//!   transitions, and start-up. The membership payload reuses the
-//!   replication snapshot format, so primary checkpoints and
+//!   transitions, and start-up. The membership payload is an encoded
+//!   [`crate::durable::AcSnapshot`], so primary checkpoints and
 //!   `StateSync` bodies are the same bytes.
 //!
 //! A crash wipes everything else ([`AreaController::wipe_volatile`]);
-//! recovery ([`AreaController::recover_from_storage`]) loads the newest
-//! valid checkpoint, replays the WAL suffix, re-fences the counters
-//! that may lag their durable image, and re-issues key paths to every
-//! member — WAL-replayed tree joins draw fresh randomness, so the
-//! replayed tree's path keys differ from the ones members still hold.
+//! recovery ([`AreaController::recover_from_storage`]) installs the view
+//! [`crate::durable::replay_ac`] folds from the newest valid checkpoint
+//! and the WAL suffix, re-fences the counters that may lag their
+//! durable image, and re-issues key paths to every member — replayed
+//! tree joins draw fresh randomness, so the replayed tree's path keys
+//! differ from the ones members still hold.
 
 use super::{AreaController, MemberRecord, Role};
-use crate::durable::{AcCheckpoint, AcWalRecord, RECOVERY_EPOCH_JUMP};
-use crate::identity::{ClientId, DeviceId};
+use crate::durable::{
+    replay_ac, AcCheckpoint, AcWalRecord, DurableAcView, MembershipOp, ReplayStop,
+    RECOVERY_EPOCH_JUMP,
+};
+use crate::identity::ClientId;
 use crate::msg::Msg;
 use mykil_crypto::envelope::HybridCiphertext;
-use mykil_crypto::rsa::RsaPublicKey;
-use mykil_net::{Context, NodeId, SecretBytes, Time};
+use mykil_net::{Context, NodeId, Recovered, SecretBytes, Time};
 use mykil_tree::MemberId;
 
 impl AreaController {
@@ -37,7 +40,7 @@ impl AreaController {
     /// Serializes the full-state checkpoint for the current role.
     pub(crate) fn checkpoint_bytes(&self) -> Vec<u8> {
         let (primary, primary_node, snapshot) = match self.role {
-            Role::Primary => (true, 0, Some(self.replica_snapshot())),
+            Role::Primary => (true, 0, Some(self.replica_snapshot().to_bytes())),
             Role::Backup { primary } => (
                 false,
                 primary.index() as u32,
@@ -118,150 +121,96 @@ impl AreaController {
         self.pending_demote = None;
     }
 
-    /// Rebuilds state from stable storage: newest valid checkpoint,
-    /// then the durable WAL suffix. Returns whether any durable state
-    /// was applied.
+    /// What this controller's stable storage replays to, folded onto
+    /// its deployment state: the view recovery installs and the
+    /// durability invariant compares with live memory.
+    pub(crate) fn durable_view(&self, rec: &Recovered) -> DurableAcView {
+        let d = &self.deploy_pristine;
+        let start = AcCheckpoint {
+            primary: d.role == Role::Primary,
+            primary_node: match d.role {
+                Role::Primary => 0,
+                Role::Backup { primary } => primary.index() as u32,
+            },
+            backup: d.backup.map(|n| (n.index() as u32, d.backup_pubkey.clone())),
+            ..AcCheckpoint::default()
+        };
+        replay_ac(start, rec.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &rec.wal)
+    }
+
+    /// Installs [`Self::durable_view`]; returns whether any durable
+    /// state applied. The view's ops re-run against the restored tree
+    /// in WAL order, drawing fresh randomness.
     ///
     /// A recovered primary re-fences its rekey epoch and replication
-    /// sequence by [`RECOVERY_EPOCH_JUMP`]: both counters can lag their
-    /// durable image (the flush checkpoint precedes the `sync_backup`
-    /// bump, and a lying fsync can roll storage back to an older
-    /// prefix), and resuming below a value the pre-crash incarnation
-    /// already used would make members and the backup silently drop
-    /// this node's traffic.
+    /// sequence by [`RECOVERY_EPOCH_JUMP`]: both can lag their durable
+    /// image (the flush checkpoint precedes the `sync_backup` bump, and
+    /// a lying fsync can roll storage back), and resuming below a value
+    /// already used would make members and the backup drop its traffic.
     pub(crate) fn recover_from_storage(&mut self, ctx: &mut Context<'_>) -> bool {
-        let rec = ctx.storage().load();
-        let mut applied = false;
-        if let Some((_seq, bytes)) = rec.checkpoint {
-            if let Some(cp) = AcCheckpoint::from_bytes(&bytes) {
-                self.role = if cp.primary {
-                    Role::Primary
-                } else {
-                    Role::Backup {
-                        primary: NodeId::from_index(cp.primary_node as usize),
-                    }
-                };
-                self.takeover_epoch = cp.takeover_epoch;
-                self.peer_takeover_epoch = cp.peer_takeover_epoch;
-                self.sync_seq = cp.sync_seq;
-                self.applied_sync_seq = cp.applied_sync_seq;
-                self.stale_peer = cp.stale_peer.map(|n| NodeId::from_index(n as usize));
-                match cp.backup {
-                    Some((node, pubkey)) => {
-                        self.deploy.backup = Some(NodeId::from_index(node as usize));
-                        self.deploy.backup_pubkey = pubkey;
-                    }
-                    None => {
-                        self.deploy.backup = None;
-                        self.deploy.backup_pubkey = Vec::new();
-                    }
-                }
-                if let Some(snap) = cp.snapshot {
-                    match self.role {
-                        Role::Primary => {
-                            if self.apply_replica_snapshot(&snap, ctx.now()).is_none() {
-                                ctx.stats().bump("ac-recovery-bad-snapshot", 1);
-                            }
-                        }
-                        Role::Backup { .. } => {
-                            self.replica_state = Some(SecretBytes::new(snap));
-                        }
-                    }
-                }
-                applied = true;
-            } else {
-                ctx.stats().bump("ac-recovery-bad-checkpoint", 1);
+        let view = self.durable_view(&ctx.storage().load());
+        match view.stop {
+            Some(ReplayStop::BadCheckpoint) => ctx.stats().bump("ac-recovery-bad-checkpoint", 1),
+            Some(ReplayStop::BadSnapshot) => ctx.stats().bump("ac-recovery-bad-snapshot", 1),
+            Some(ReplayStop::BadWalRecord) => ctx.stats().bump("ac-recovery-bad-wal-record", 1),
+            None => {}
+        }
+        if !view.applied {
+            return false;
+        }
+        let h = view.header;
+        self.role = if h.primary {
+            Role::Primary
+        } else {
+            Role::Backup {
+                primary: NodeId::from_index(h.primary_node as usize),
+            }
+        };
+        self.takeover_epoch = h.takeover_epoch;
+        self.peer_takeover_epoch = h.peer_takeover_epoch;
+        self.sync_seq = h.sync_seq;
+        self.applied_sync_seq = h.applied_sync_seq;
+        self.stale_peer = h.stale_peer.map(|n| NodeId::from_index(n as usize));
+        self.deploy.backup = h.backup.as_ref().map(|(n, _)| NodeId::from_index(*n as usize));
+        self.deploy.backup_pubkey = h.backup.map(|(_, pk)| pk).unwrap_or_default();
+        self.replica_state = h.snapshot.map(SecretBytes::new);
+        let now = ctx.now();
+        if let Some(base) = &view.base {
+            if self.apply_replica_snapshot(base, now).is_none() {
+                ctx.stats().bump("ac-recovery-bad-snapshot", 1);
             }
         }
-        for raw in &rec.wal {
-            let Some(record) = AcWalRecord::from_bytes(raw) else {
-                // An unparseable durable record: everything after it is
-                // suspect, stop the replay (mirrors the storage layer's
-                // torn-tail handling).
-                ctx.stats().bump("ac-recovery-bad-wal-record", 1);
-                break;
-            };
-            self.replay_wal_record(ctx, record);
-            applied = true;
+        for op in &view.ops {
+            match *op {
+                MembershipOp::Join(client) => {
+                    let member = MemberId(client);
+                    self.note_area_key();
+                    if self.tree.contains(member) {
+                        let _ = self.tree.leave(member, ctx.rng());
+                    }
+                    if self.tree.join(member, ctx.rng()).is_err() {
+                        ctx.stats().bump("ac-recovery-join-failed", 1);
+                    }
+                }
+                MembershipOp::Leave(client) => {
+                    let member = MemberId(client);
+                    if self.tree.contains(member) {
+                        self.note_area_key();
+                        let _ = self.tree.leave(member, ctx.rng());
+                    }
+                }
+            }
         }
-        if applied && self.role == Role::Primary {
+        self.members = view
+            .members
+            .values()
+            .filter_map(|m| Some((ClientId(m.client), MemberRecord::restore(m, now)?)))
+            .collect();
+        if self.role == Role::Primary {
             self.epoch += RECOVERY_EPOCH_JUMP;
             self.sync_seq += RECOVERY_EPOCH_JUMP;
         }
-        applied
-    }
-
-    /// Applies one WAL record during recovery, mirroring the durable
-    /// effects of the live-path handler that wrote it.
-    fn replay_wal_record(&mut self, ctx: &mut Context<'_>, rec: AcWalRecord) {
-        match rec {
-            AcWalRecord::Join {
-                client,
-                node,
-                pubkey,
-                device,
-                valid_until_us,
-            } => {
-                let Ok(pk) = RsaPublicKey::from_bytes(&pubkey) else {
-                    return;
-                };
-                let member = MemberId(client);
-                self.note_area_key();
-                self.pending_leaves.retain(|c| c.0 != client);
-                if self.tree.contains(member) {
-                    let _ = self.tree.leave(member, ctx.rng());
-                }
-                if self.tree.join(member, ctx.rng()).is_err() {
-                    ctx.stats().bump("ac-recovery-join-failed", 1);
-                    return;
-                }
-                self.members.insert(
-                    ClientId(client),
-                    MemberRecord {
-                        node: NodeId::from_index(node as usize),
-                        pubkey: pk,
-                        device: device.map(DeviceId),
-                        valid_until: Time::from_micros(valid_until_us),
-                        // Fresh liveness grace after recovery, as after
-                        // a takeover.
-                        last_heard: ctx.now(),
-                    },
-                );
-            }
-            AcWalRecord::Leave { client } | AcWalRecord::Evict { client } => {
-                let member = MemberId(client);
-                if self.tree.contains(member) {
-                    self.note_area_key();
-                    let _ = self.tree.leave(member, ctx.rng());
-                }
-                self.members.remove(&ClientId(client));
-            }
-            AcWalRecord::Promoted {
-                takeover_epoch,
-                old_primary,
-            } => {
-                if let Some(state) = self.replica_state.take() {
-                    if self
-                        .apply_replica_snapshot(state.as_slice(), ctx.now())
-                        .is_none()
-                    {
-                        ctx.stats().bump("ac-recovery-bad-snapshot", 1);
-                    }
-                }
-                self.role = Role::Primary;
-                self.takeover_epoch = takeover_epoch;
-                self.stale_peer = Some(NodeId::from_index(old_primary as usize));
-                self.deploy.backup = None;
-                self.deploy.backup_pubkey = Vec::new();
-            }
-            AcWalRecord::Demoted { new_primary } => {
-                self.role = Role::Backup {
-                    primary: NodeId::from_index(new_primary as usize),
-                };
-                self.replica_state = None;
-                self.applied_sync_seq = 0;
-            }
-        }
+        true
     }
 
     /// Post-recovery key resynchronization (primary role).

@@ -11,8 +11,8 @@ use super::{
     AreaController, MemberRecord, ParentLink, Role, TIMER_BACKUP_WATCH, TIMER_HEARTBEAT,
     TIMER_IDLE_ALIVE, TIMER_PARENT_CHECK, TIMER_REKEY, TIMER_SWEEP,
 };
-use crate::durable::AcWalRecord;
-use crate::identity::{AreaId, ClientId, DeviceId};
+use crate::durable::{AcSnapshot, AcWalRecord, DurableMember};
+use crate::identity::{AreaId, ClientId};
 use crate::msg::Msg;
 use crate::rekey::KeyState;
 use crate::wire::{Reader, Writer};
@@ -20,120 +20,75 @@ use mykil_crypto::envelope;
 use mykil_crypto::rsa::RsaPublicKey;
 use mykil_net::{Context, GroupId, NodeId, SecretBytes, Time};
 use mykil_tree::AreaTree;
+use std::collections::BTreeMap;
 
 impl AreaController {
-    /// Serializes the replicated state (tree, members, hierarchy,
-    /// epoch).
-    pub(crate) fn replica_snapshot(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&self.tree.snapshot());
-        w.u32(self.members.len() as u32);
-        let mut members: Vec<(&ClientId, &MemberRecord)> = self.members.iter().collect();
-        members.sort_by_key(|(c, _)| **c);
-        for (client, rec) in members {
-            w.u64(client.0)
-                .u32(rec.node.index() as u32)
-                .bytes(&rec.pubkey.to_bytes())
-                .u8(rec.device.is_some() as u8);
-            if let Some(d) = rec.device {
-                w.raw(d.as_bytes());
-            }
-            w.u64(rec.valid_until.as_micros());
-        }
-        match &self.parent {
-            Some(p) => {
-                w.u8(1)
-                    .u32(p.node.index() as u32)
-                    .u32(p.area.0)
-                    .u32(p.group.index() as u32);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
-        w.bytes(&self.parent_keys.to_bytes());
-        w.u64(self.epoch);
-        w.u32(self.child_acs.len() as u32);
-        let mut children: Vec<u32> = self.child_acs.iter().map(|n| n.index() as u32).collect();
-        children.sort_unstable();
-        for c in children {
-            w.u32(c);
-        }
-        // Child-AC enrollments (tree member id → node). Without these a
-        // promoted backup rejects every child-AC `KeyRefreshRequest`,
-        // cutting children off from parent-area keys forever.
-        w.u32(self.child_ac_members.len() as u32);
-        let mut enrolled: Vec<(u64, u32)> = self
-            .child_ac_members
+    /// The replicated state (tree, members, hierarchy, epoch) as a
+    /// replica snapshot. Every list comes from an ordered map or set, so
+    /// it is ascending.
+    pub(crate) fn replica_snapshot(&self) -> AcSnapshot {
+        let members = self
+            .members
             .iter()
-            .map(|(m, n)| (*m, n.index() as u32))
+            .map(|(client, rec)| DurableMember {
+                client: client.0,
+                node: rec.node.index() as u32,
+                pubkey: rec.pubkey.to_bytes(),
+                device: rec.device.map(|d| d.0),
+                valid_until_us: rec.valid_until.as_micros(),
+            })
             .collect();
-        enrolled.sort_unstable();
-        for (member, node) in enrolled {
-            w.u64(member).u32(node);
+        AcSnapshot {
+            tree: self.tree.snapshot(),
+            members,
+            parent: self.parent.as_ref().map(|p| {
+                (
+                    p.node.index() as u32,
+                    p.area.0,
+                    p.group.index() as u32,
+                )
+            }),
+            parent_keys: self.parent_keys.to_bytes(),
+            epoch: self.epoch,
+            child_acs: self.child_acs.iter().map(|n| n.index() as u32).collect(),
+            child_ac_members: self
+                .child_ac_members
+                .iter()
+                .map(|(m, n)| (*m, n.index() as u32))
+                .collect(),
         }
-        w.into_bytes()
     }
 
-    pub(crate) fn apply_replica_snapshot(&mut self, bytes: &[u8], now: Time) -> Option<()> {
-        let mut r = Reader::new(bytes);
-        let tree = AreaTree::restore(r.bytes().ok()?).ok()?;
-        let count = r.u32().ok()? as usize;
-        let mut members = std::collections::BTreeMap::new();
-        for _ in 0..count {
-            let client = ClientId(r.u64().ok()?);
-            let node = NodeId::from_index(r.u32().ok()? as usize);
-            let pubkey = RsaPublicKey::from_bytes(r.bytes().ok()?).ok()?;
-            let device = if r.u8().ok()? == 1 {
-                Some(DeviceId(r.array::<6>().ok()?))
-            } else {
-                None
-            };
-            let valid_until = Time::from_micros(r.u64().ok()?);
-            members.insert(
-                client,
-                MemberRecord {
-                    node,
-                    pubkey,
-                    device,
-                    valid_until,
-                    // Give everyone a fresh liveness grace period after
-                    // the takeover.
-                    last_heard: now,
-                },
-            );
+    /// Installs a replica snapshot as this node's state (takeover and
+    /// recovery). Every member gets a fresh liveness grace period.
+    /// `None` (nothing changed) only if the snapshot did not come from
+    /// [`AcSnapshot::from_bytes`], which validates what this parses.
+    pub(crate) fn apply_replica_snapshot(&mut self, snap: &AcSnapshot, now: Time) -> Option<()> {
+        let tree = AreaTree::restore(&snap.tree).ok()?;
+        let parent_keys = KeyState::from_bytes(&snap.parent_keys).ok()?;
+        let mut members = BTreeMap::new();
+        for m in &snap.members {
+            members.insert(ClientId(m.client), MemberRecord::restore(m, now)?);
         }
-        let parent = if r.u8().ok()? == 1 {
-            Some(ParentLink {
-                node: NodeId::from_index(r.u32().ok()? as usize),
-                area: AreaId(r.u32().ok()?),
-                group: GroupId::from_index(r.u32().ok()? as usize),
-            })
-        } else {
-            None
-        };
-        let parent_keys = KeyState::from_bytes(r.bytes().ok()?).ok()?;
-        let epoch = r.u64().ok()?;
-        let child_count = r.u32().ok()? as usize;
-        let mut child_acs = std::collections::BTreeSet::new();
-        for _ in 0..child_count {
-            child_acs.insert(NodeId::from_index(r.u32().ok()? as usize));
-        }
-        let enrolled_count = r.u32().ok()? as usize;
-        let mut child_ac_members = std::collections::BTreeMap::new();
-        for _ in 0..enrolled_count {
-            let member = r.u64().ok()?;
-            let node = NodeId::from_index(r.u32().ok()? as usize);
-            child_ac_members.insert(member, node);
-        }
-        r.finish().ok()?;
         self.tree = tree;
         self.members = members;
-        self.parent = parent;
+        self.parent = snap.parent.map(|(node, area, group)| ParentLink {
+            node: NodeId::from_index(node as usize),
+            area: AreaId(area),
+            group: GroupId::from_index(group as usize),
+        });
         self.parent_keys = parent_keys;
-        self.epoch = epoch;
-        self.child_acs = child_acs;
-        self.child_ac_members = child_ac_members;
+        self.epoch = snap.epoch;
+        self.child_acs = snap
+            .child_acs
+            .iter()
+            .map(|&n| NodeId::from_index(n as usize))
+            .collect();
+        self.child_ac_members = snap
+            .child_ac_members
+            .iter()
+            .map(|&(m, n)| (m, NodeId::from_index(n as usize)))
+            .collect();
         Some(())
     }
 
@@ -154,7 +109,9 @@ impl AreaController {
         }
         self.sync_seq += 1;
         let mut plain = Writer::new();
-        plain.u64(self.sync_seq).bytes(&self.replica_snapshot());
+        plain
+            .u64(self.sync_seq)
+            .bytes(&self.replica_snapshot().to_bytes());
         ctx.charge_compute(self.cost.symmetric_op);
         let ct = envelope::seal(&self.repl_key, &plain.into_bytes(), ctx.rng());
         if let Some(old) = self.pending_sync.take() {
@@ -322,7 +279,9 @@ impl AreaController {
     /// the primary timers.
     fn take_over(&mut self, ctx: &mut Context<'_>, old_primary: NodeId) {
         if let Some(state) = self.replica_state.take() {
-            if self.apply_replica_snapshot(state.as_slice(), ctx.now()).is_none() {
+            let installed = AcSnapshot::from_bytes(state.as_slice())
+                .and_then(|snap| self.apply_replica_snapshot(&snap, ctx.now()));
+            if installed.is_none() {
                 ctx.stats().bump("ac-takeover-corrupt-state", 1);
             }
         }
@@ -547,6 +506,7 @@ impl AreaController {
 #[cfg(test)]
 mod tests {
     use super::AreaController;
+    use crate::durable::AcSnapshot;
     use crate::group::GroupBuilder;
 
     /// Regression: `child_ac_members` must survive the snapshot round
@@ -557,7 +517,11 @@ mod tests {
         g.settle();
         let (bytes, expect_children, expect_epoch) =
             g.sim.invoke(g.primaries[0], |ac: &mut AreaController, _ctx| {
-                (ac.replica_snapshot(), ac.child_ac_members.clone(), ac.epoch)
+                (
+                    ac.replica_snapshot().to_bytes(),
+                    ac.child_ac_members.clone(),
+                    ac.epoch,
+                )
             });
         assert!(
             !expect_children.is_empty(),
@@ -565,9 +529,10 @@ mod tests {
         );
         let now = g.sim.now();
         let backup = g.sim.node_mut::<AreaController>(g.backups[0]);
+        let snap = AcSnapshot::from_bytes(&bytes).expect("snapshot parses");
         backup
-            .apply_replica_snapshot(&bytes, now)
-            .expect("snapshot parses");
+            .apply_replica_snapshot(&snap, now)
+            .expect("snapshot installs");
         assert_eq!(backup.child_ac_members, expect_children);
         assert_eq!(backup.epoch, expect_epoch);
     }
@@ -666,9 +631,10 @@ mod tests {
             .expect("backup holds no catch-up snapshot");
         let now = g.sim.now();
         let probe = g.sim.node_mut::<AreaController>(backup_node);
+        let snap = AcSnapshot::from_bytes(snap.as_slice()).expect("snapshot parses");
         probe
-            .apply_replica_snapshot(snap.as_slice(), now)
-            .expect("snapshot parses");
+            .apply_replica_snapshot(&snap, now)
+            .expect("snapshot installs");
         assert_eq!(probe.members.len(), 2);
     }
 }

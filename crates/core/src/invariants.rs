@@ -36,12 +36,12 @@
 //! produced it for replay.
 
 use crate::area::Role;
-use crate::durable::{replay_ac, replay_rs};
+use crate::durable::ReplayStop;
 use crate::group::GroupHandle;
 use crate::scale::{AreaState, ScaleEvent, ScaleGroup};
 use mykil_baselines::{ColdAreaModel, RekeyTraffic};
 use mykil_net::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One violated invariant, with enough context to debug a soak
 /// failure without re-running it.
@@ -437,74 +437,76 @@ impl InvariantChecker {
                 if g.sim.is_crashed(node) || !g.sim.storage(node).has_durable_state() {
                     continue;
                 }
-                let rec = g.sim.storage(node).load();
-                let Some(view) =
-                    replay_ac(rec.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &rec.wal)
-                else {
+                let ctrl = if node == g.primaries[area] {
+                    g.ac(area)
+                } else {
+                    g.backup(area)
+                };
+                let view = ctrl.durable_view(&g.sim.storage(node).load());
+                if matches!(
+                    view.stop,
+                    Some(ReplayStop::BadCheckpoint | ReplayStop::BadSnapshot)
+                ) {
                     out.push(InvariantViolation::DurabilityDrift {
                         node,
                         area,
                         detail: "stable storage does not replay".into(),
                     });
                     continue;
-                };
-                let ctrl = if node == g.primaries[area] {
-                    g.ac(area)
-                } else {
-                    g.backup(area)
-                };
+                }
                 let mem_primary = ctrl.role() == Role::Primary;
-                if view.primary != mem_primary {
+                if view.header.primary != mem_primary {
                     out.push(InvariantViolation::DurabilityDrift {
                         node,
                         area,
                         detail: format!(
                             "durable primary={} but memory primary={mem_primary}",
-                            view.primary
+                            view.header.primary
                         ),
                     });
                 }
-                if view.takeover_epoch != ctrl.takeover_epoch() {
+                if view.header.takeover_epoch != ctrl.takeover_epoch() {
                     out.push(InvariantViolation::DurabilityDrift {
                         node,
                         area,
                         detail: format!(
                             "durable takeover_epoch={} but memory has {}",
-                            view.takeover_epoch,
+                            view.header.takeover_epoch,
                             ctrl.takeover_epoch()
                         ),
                     });
                 }
-                if mem_primary && view.primary {
+                if mem_primary && view.header.primary {
                     let mem_members = ctrl.member_ids();
-                    if view.members != mem_members {
+                    let durable_members: BTreeSet<u64> = view.members.keys().copied().collect();
+                    if durable_members != mem_members {
                         out.push(InvariantViolation::DurabilityDrift {
                             node,
                             area,
                             detail: format!(
                                 "durable members {:?} != memory members {:?}",
-                                view.members, mem_members
+                                durable_members, mem_members
                             ),
                         });
                     }
-                    if view.epoch != ctrl.epoch() {
+                    if view.epoch() != ctrl.epoch() {
                         out.push(InvariantViolation::DurabilityDrift {
                             node,
                             area,
                             detail: format!(
                                 "durable epoch={} but memory has {}",
-                                view.epoch,
+                                view.epoch(),
                                 ctrl.epoch()
                             ),
                         });
                     }
-                    if view.sync_seq > ctrl.sync_seq() {
+                    if view.header.sync_seq > ctrl.sync_seq() {
                         out.push(InvariantViolation::DurabilityDrift {
                             node,
                             area,
                             detail: format!(
                                 "durable sync_seq={} ahead of memory {}",
-                                view.sync_seq,
+                                view.header.sync_seq,
                                 ctrl.sync_seq()
                             ),
                         });
@@ -520,23 +522,25 @@ impl InvariantChecker {
         // the RS would recover with must match what it serves now.
         let rs_node = g.rs();
         if !g.sim.is_crashed(rs_node) && g.sim.storage(rs_node).has_durable_state() {
-            let rec = g.sim.storage(rs_node).load();
-            match replay_rs(rec.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &rec.wal) {
-                None => out.push(InvariantViolation::RsDurabilityDrift {
-                    detail: "stable storage does not replay".into(),
-                }),
-                Some(view) => {
-                    let rs = g.registration_server();
-                    if view.next_client != rs.next_client() {
+            let rs = g.registration_server();
+            let view = rs.durable_view(&g.sim.storage(rs_node).load());
+            match view.stop {
+                Some(ReplayStop::BadCheckpoint | ReplayStop::BadSnapshot) => {
+                    out.push(InvariantViolation::RsDurabilityDrift {
+                        detail: "stable storage does not replay".into(),
+                    })
+                }
+                Some(ReplayStop::BadWalRecord) | None => {
+                    if view.state.next_client != rs.next_client() {
                         out.push(InvariantViolation::RsDurabilityDrift {
                             detail: format!(
                                 "durable next_client={} but memory has {}",
-                                view.next_client,
+                                view.state.next_client,
                                 rs.next_client()
                             ),
                         });
                     }
-                    if &view.directory != rs.directory() {
+                    if &view.state.directory != rs.directory() {
                         out.push(InvariantViolation::RsDurabilityDrift {
                             detail: "durable directory differs from memory".into(),
                         });

@@ -11,14 +11,14 @@ use crate::auth::{AuthDb, AuthDecision};
 use crate::config::MykilConfig;
 use crate::crypto_cost::CryptoCost;
 use crate::directory::{AcDirectory, AcInfo};
-use crate::durable::{RsCheckpoint, RsWalRecord};
+use crate::durable::{replay_rs, DurableRsView, ReplayStop, RsCheckpoint, RsWalRecord};
 use crate::error::ProtocolError;
 use crate::identity::{AreaId, ClientId};
 use crate::msg::Msg;
 use crate::wire::{Reader, Writer};
 use mykil_crypto::envelope::HybridCiphertext;
 use mykil_crypto::rsa::{RsaKeyPair, RsaPublicKey};
-use mykil_net::{Context, Node, NodeId, Time};
+use mykil_net::{Context, Node, NodeId, Recovered, Time};
 use rand::RngCore;
 use std::collections::BTreeMap;
 
@@ -118,6 +118,18 @@ impl RegistrationServer {
     /// Next client id to be handed out (durability invariant checks).
     pub fn next_client(&self) -> u64 {
         self.next_client
+    }
+
+    /// What this server's stable storage replays to, folded onto its
+    /// deployment state: the view recovery installs and the durability
+    /// invariant compares with live memory.
+    pub(crate) fn durable_view(&self, rec: &Recovered) -> DurableRsView {
+        let start = RsCheckpoint {
+            next_client: 1,
+            next_area: 0,
+            directory: self.directory_initial.clone(),
+        };
+        replay_rs(start, rec.checkpoint.as_ref().map(|(_, b)| b.as_slice()), &rec.wal)
     }
 
     /// Writes the full-state checkpoint (id allocators + directory).
@@ -400,38 +412,18 @@ impl Node for RegistrationServer {
         }
         // Rebuild the id allocators and the takeover-updated directory
         // from stable storage.
-        let rec = ctx.storage().load();
-        let mut applied = false;
-        if let Some((_seq, bytes)) = rec.checkpoint {
-            if let Some(cp) = RsCheckpoint::from_bytes(&bytes) {
-                self.next_client = cp.next_client;
-                self.next_area = cp.next_area as usize;
-                self.directory = cp.directory;
-                applied = true;
-            } else {
-                ctx.stats().bump("rs-recovery-bad-checkpoint", 1);
+        let view = self.durable_view(&ctx.storage().load());
+        match view.stop {
+            Some(ReplayStop::BadCheckpoint | ReplayStop::BadSnapshot) => {
+                ctx.stats().bump("rs-recovery-bad-checkpoint", 1)
             }
+            Some(ReplayStop::BadWalRecord) => ctx.stats().bump("rs-recovery-bad-wal-record", 1),
+            None => {}
         }
-        for raw in &rec.wal {
-            let Some(rec) = RsWalRecord::from_bytes(raw) else {
-                ctx.stats().bump("rs-recovery-bad-wal-record", 1);
-                break;
-            };
-            match rec {
-                RsWalRecord::ClientAssigned { client } => {
-                    self.next_client = self.next_client.max(client + 1);
-                }
-                RsWalRecord::DirectoryUpsert { area, node, pubkey } => {
-                    self.directory.upsert(AcInfo {
-                        area: AreaId(area),
-                        node,
-                        pubkey,
-                    });
-                }
-            }
-            applied = true;
-        }
-        if applied {
+        if view.applied {
+            self.next_client = view.state.next_client;
+            self.next_area = view.state.next_area as usize;
+            self.directory = view.state.directory;
             ctx.stats().bump("rs-recoveries", 1);
         }
         // Compact the replayed WAL into a fresh checkpoint.

@@ -9,23 +9,23 @@
 //! re-syncs via its ticket; a corrupted checkpoint falls back to the
 //! older ping-pong slot.
 //!
-//! Every scenario runs twice — once against the simulated
-//! [`SimStore`](mykil_net::SimStore) device and once against a real
+//! Every scenario runs twice — once against the simulator's default
+//! store, the simulated [`SimStore`](mykil_net::SimStore) device behind
+//! [`FaultyStore`](mykil_net::FaultyStore), and once against a real
 //! file-backed [`FileStore`](mykil_net::FileStore) in a scratch
-//! directory, wrapped in [`FaultyStore`](mykil_net::FaultyStore) so the
-//! same fault injection applies (the `*_file_backed` variants). The
-//! recovery outcome must be identical: the durable-state contract does
-//! not depend on the backend.
+//! directory behind the same wrapper (the `*_file_backed` variants).
+//! The recovery outcome must be identical: the durable-state contract
+//! does not depend on the backend.
 
 use mykil::area::Role;
-use mykil::durable::{snapshot_summary, AcCheckpoint};
+use mykil::durable::{AcCheckpoint, AcSnapshot, AcWalRecord, DurableMember};
 use mykil::group::GroupBuilder;
-use mykil::invariants::InvariantChecker;
-use mykil_net::{Duration, FaultyStore, FileStore, NodeId, StableStore};
+use mykil::invariants::{InvariantChecker, InvariantViolation};
+use mykil_net::{Duration, FaultyStore, FileStore, NodeId, StableStore, StoreFault};
 
 /// Routes a deployment's stable storage to per-node `FileStore`
 /// directories under a fresh scratch root, wrapped in `FaultyStore` so
-/// `arm_lying_sync`/`corrupt_latest_checkpoint` keep working.
+/// every storage fault keeps injecting.
 fn file_backed(b: GroupBuilder, tag: &'static str) -> GroupBuilder {
     let root = mykil_net::scratch_dir(tag);
     b.storage_factory(move |n: NodeId| {
@@ -161,7 +161,7 @@ fn torn_wal_tail_recovery(file: bool) {
     assert_eq!(checker.check(&g), vec![]);
 
     let node = g.primaries[0];
-    g.sim.storage_mut(node).arm_lying_sync(true);
+    assert!(g.sim.storage_mut(node).inject(StoreFault::TornWrite));
     let newcomer = g.register_member(9);
     g.run_for(Duration::from_secs(2));
     assert!(g.is_member(newcomer), "join did not complete pre-crash");
@@ -220,7 +220,10 @@ fn corrupt_checkpoint_fallback(file: bool) {
         g.sim.storage(node).checkpoint_count() >= 2,
         "scenario needs both ping-pong slots populated"
     );
-    g.sim.storage_mut(node).corrupt_latest_checkpoint();
+    assert!(g
+        .sim
+        .storage_mut(node)
+        .inject(StoreFault::CorruptCheckpoint));
     g.sim.crash(node);
     assert!(g.sim.restart(node));
     g.settle();
@@ -257,14 +260,13 @@ fn corrupt_checkpoint_falls_back_to_older_slot_file_backed() {
     corrupt_checkpoint_fallback(true);
 }
 
-/// Drift guard: the lightweight [`snapshot_summary`] parser and the
-/// full replica-snapshot format must agree. If the snapshot encoding
-/// grows a field without the summary (and thus the durability
-/// invariant) learning about it, this fails at the exact seam.
-fn snapshot_summary_matches(file: bool) {
+/// The primary checkpoint's replica snapshot goes through the one
+/// codec: it decodes, re-encodes to the same bytes, and carries the
+/// live membership and epoch.
+fn snapshot_codec_matches_live_state(file: bool) {
     let mut b = GroupBuilder::new(65).rsa_bits(512).areas(1).replicated(true);
     if file {
-        b = file_backed(b, "durability-snapshot-summary");
+        b = file_backed(b, "durability-snapshot-codec");
     }
     let mut g = b.build();
     for i in 0..3 {
@@ -276,20 +278,70 @@ fn snapshot_summary_matches(file: bool) {
     let (_, ckpt_bytes) = rec.checkpoint.expect("settled primary has a checkpoint");
     let ckpt = AcCheckpoint::from_bytes(&ckpt_bytes).expect("checkpoint parses");
     assert!(ckpt.primary);
-    let snap = ckpt.snapshot.expect("primary checkpoint embeds a snapshot");
-    let summary = snapshot_summary(&snap).expect("snapshot summary parses");
-    assert_eq!(summary.members, g.ac(0).member_ids());
-    assert_eq!(summary.epoch, g.ac(0).epoch());
+    let raw = ckpt.snapshot.expect("primary checkpoint embeds a snapshot");
+    let snap = AcSnapshot::from_bytes(&raw).expect("snapshot decodes");
+    assert_eq!(snap.to_bytes(), raw, "snapshot codec is not byte-identical");
+    let members: std::collections::BTreeSet<u64> = snap.members.iter().map(|m| m.client).collect();
+    assert_eq!(members.len(), 3);
+    assert_eq!(members, g.ac(0).member_ids());
+    assert_eq!(snap.epoch, g.ac(0).epoch());
 }
 
 #[test]
-fn checkpoint_snapshot_summary_matches_live_state() {
-    snapshot_summary_matches(false);
+fn checkpoint_snapshot_codec_matches_live_state() {
+    snapshot_codec_matches_live_state(false);
 }
 
 #[test]
-fn checkpoint_snapshot_summary_matches_live_state_file_backed() {
-    snapshot_summary_matches(true);
+fn checkpoint_snapshot_codec_matches_live_state_file_backed() {
+    snapshot_codec_matches_live_state(true);
+}
+
+/// A `Join` record whose public key does not parse is corruption:
+/// recovery could never install that member. Recovery and the
+/// durability invariant read the WAL through the same fold, so both
+/// stop at the record and neither reports drift.
+#[test]
+fn join_with_unparseable_pubkey_stops_recovery_and_invariant_alike() {
+    let mut g = GroupBuilder::new(67)
+        .rsa_bits(512)
+        .areas(1)
+        .replicated(true)
+        .build();
+    let members: Vec<_> = (0..2).map(|i| g.register_member(i)).collect();
+    g.settle();
+    let mut checker = InvariantChecker::new();
+    assert_eq!(checker.check(&g), vec![]);
+
+    let node = g.primaries[0];
+    let members_before = g.ac(0).member_ids();
+    g.sim.storage_mut(node).wal_commit(
+        AcWalRecord::Join(DurableMember {
+            client: 999,
+            node: 0,
+            pubkey: vec![1, 2, 3],
+            device: None,
+            valid_until_us: u64::MAX,
+        })
+        .to_bytes(),
+    );
+    let drift = |v: &[InvariantViolation]| {
+        v.iter()
+            .filter(|v| matches!(v, InvariantViolation::DurabilityDrift { .. }))
+            .count()
+    };
+    assert_eq!(drift(&checker.check(&g)), 0, "live node drifted from storage");
+
+    g.sim.crash(node);
+    assert!(g.sim.restart(node));
+    g.settle();
+    assert_eq!(g.stats().counter("ac-recovery-bad-wal-record"), 1);
+    assert_eq!(drift(&checker.check(&g)), 0, "recovered node drifted");
+    assert_eq!(g.ac(0).member_ids(), members_before);
+    for m in members {
+        assert!(g.is_member(m));
+    }
+    assert_eq!(checker.check(&g), vec![]);
 }
 
 /// The registration server's client-id counter is burned to the WAL

@@ -10,8 +10,10 @@
 
 use mykil::directory::AcDirectory;
 use mykil::durable::{
-    replay_ac, replay_rs, snapshot_summary, AcCheckpoint, AcWalRecord, RsCheckpoint, RsWalRecord,
+    replay_ac, replay_rs, AcCheckpoint, AcSnapshot, AcWalRecord, DurableMember, RsCheckpoint,
+    RsWalRecord,
 };
+use mykil::group::GroupBuilder;
 use mykil::msg::Msg;
 use mykil::scale::{decode_checkpoint, encode_checkpoint, AreaState, ScaleConfig, ScaleEvent};
 use mykil::welcome::Welcome;
@@ -204,7 +206,10 @@ fn seeds_envelope() -> Vec<(&'static str, Vec<u8>)> {
 /// `[len: u16 LE][len bytes]` and a short final frame is discarded.
 /// Frame 0 is the checkpoint when `flags & 1`; the rest are WAL
 /// records. The frames drive both full replay folds and every
-/// individual record/checkpoint decoder.
+/// individual record/checkpoint decoder. The checkpoint candidate is
+/// also decoded as a bare replica snapshot, and so is the snapshot an
+/// AC checkpoint embeds. Every AC format that decodes must re-encode to
+/// exactly its input bytes.
 fn run_durable_replay(data: &[u8]) {
     let Some((&flags, mut rest)) = data.split_first() else {
         return;
@@ -228,16 +233,36 @@ fn run_durable_replay(data: &[u8]) {
         (None, frames)
     };
     for f in &wal {
-        let _ = AcWalRecord::from_bytes(f);
+        if let Some(rec) = AcWalRecord::from_bytes(f) {
+            assert_eq!(&rec.to_bytes(), f, "AC WAL record re-encodes differently");
+        }
         let _ = RsWalRecord::from_bytes(f);
     }
     if let Some(c) = &ckpt {
-        let _ = AcCheckpoint::from_bytes(c);
+        if let Some(cp) = AcCheckpoint::from_bytes(c) {
+            assert_eq!(&cp.to_bytes(), c, "AC checkpoint re-encodes differently");
+            if let Some(raw) = &cp.snapshot {
+                snapshot_round_trip(raw);
+            }
+        }
+        snapshot_round_trip(c);
         let _ = RsCheckpoint::from_bytes(c);
-        let _ = snapshot_summary(c);
     }
-    let _ = replay_ac(ckpt.as_deref(), &wal);
-    let _ = replay_rs(ckpt.as_deref(), &wal);
+    let _ = replay_ac(AcCheckpoint::default(), ckpt.as_deref(), &wal);
+    let rs_start = RsCheckpoint {
+        next_client: 1,
+        next_area: 0,
+        directory: AcDirectory::default(),
+    };
+    let _ = replay_rs(rs_start, ckpt.as_deref(), &wal);
+}
+
+/// The one replica-snapshot codec: decode → encode is the identity on
+/// every input that decodes.
+fn snapshot_round_trip(bytes: &[u8]) {
+    if let Some(snap) = AcSnapshot::from_bytes(bytes) {
+        assert_eq!(snap.to_bytes(), bytes, "replica snapshot re-encodes differently");
+    }
 }
 
 fn frame_up(flags: u8, frames: &[Vec<u8>]) -> Vec<u8> {
@@ -263,13 +288,13 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
         snapshot: Some(vec![9; 24]),
     };
     let ac_wal = [
-        AcWalRecord::Join {
+        AcWalRecord::Join(DurableMember {
             client: 10,
             node: 2,
             pubkey: vec![7; 8],
             device: Some([1, 2, 3, 4, 5, 6]),
             valid_until_us: 1_000_000,
-        },
+        }),
         AcWalRecord::Leave { client: 10 },
         AcWalRecord::Evict { client: 11 },
         AcWalRecord::Promoted {
@@ -303,10 +328,34 @@ fn seeds_durable_replay() -> Vec<(&'static str, Vec<u8>)> {
 
     vec![
         ("seed-ac.bin", frame_up(1, &ac_frames)),
+        ("seed-ac-real.bin", frame_up(1, &real_primary_frames())),
         ("seed-rs.bin", frame_up(1, &rs_frames)),
         ("seed-wal-only.bin", frame_up(0, &wal_only)),
         ("seed-empty.bin", vec![0]),
     ]
+}
+
+/// A real primary's durable state: the checkpoint of a settled
+/// 3-member child area (tree, member keys, parent link and parent keys
+/// as the controller wrote them) and its WAL suffix, plus a `Leave` of
+/// its first member so the fold has an op to apply.
+fn real_primary_frames() -> Vec<Vec<u8>> {
+    let mut g = GroupBuilder::new(3).rsa_bits(512).areas(2).replicated(true).build();
+    // Round-robin placement: three members per area.
+    for i in 0..6 {
+        g.register_member(i);
+    }
+    g.settle();
+    let Some(&primary) = g.primaries.get(1) else {
+        return Vec::new();
+    };
+    let rec = g.sim.storage(primary).load();
+    let mut frames: Vec<Vec<u8>> = rec.checkpoint.into_iter().map(|(_, c)| c).collect();
+    frames.extend(rec.wal);
+    if let Some(&client) = g.ac(1).member_ids().iter().next() {
+        frames.push(AcWalRecord::Leave { client }.to_bytes());
+    }
+    frames
 }
 
 // ---------------------------------------------------------------------
@@ -517,6 +566,23 @@ mod tests {
                 let _ = name;
             }
         }
+    }
+
+    /// The real-checkpoint seed really is a 3-member primary whose
+    /// snapshot survives the codec round trip.
+    #[test]
+    fn real_primary_seed_is_a_three_member_primary() {
+        let frames = real_primary_frames();
+        let cp = frames
+            .first()
+            .and_then(|c| AcCheckpoint::from_bytes(c))
+            .expect("seed starts with a checkpoint");
+        assert!(cp.primary);
+        let raw = cp.snapshot.expect("primary checkpoint embeds a snapshot");
+        let snap = AcSnapshot::from_bytes(&raw).expect("snapshot decodes");
+        assert_eq!(snap.members.len(), 3);
+        assert!(snap.parent.is_some());
+        assert_eq!(snap.to_bytes(), raw);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Exhaustive backend-equivalence search for the stable-storage layer.
 //!
 //! Enumerates every operation/fault sequence up to a fixed length and
-//! checks that `SimStore` and `FaultyStore<FileStore>` agree on every
-//! observable (recovered checkpoint payload, WAL suffix, durable-state
+//! checks that the simulator's default store, `FaultyStore<SimStore>`,
+//! and `FaultyStore<FileStore>` agree on every observable (recovered checkpoint payload, WAL suffix, durable-state
 //! flag, counters). The proptest in `tests/proptest_storage.rs` samples
 //! this space randomly; this brute-forces it to a minimal counter-
 //! example when the proptest reports a divergence:
@@ -33,7 +33,7 @@ enum Op {
     LT,
     /// arm torn-write
     TT,
-    /// corrupt_latest_checkpoint
+    /// corrupt the newest checkpoint
     CC,
     /// corrupt slot 0
     CS0,
@@ -55,9 +55,15 @@ fn apply(store: &mut dyn StableStore, ops: &[Op]) {
             Crash => {
                 store.on_crash();
             }
-            LT => store.arm_lying_sync(false),
-            TT => store.arm_lying_sync(true),
-            CC => store.corrupt_latest_checkpoint(),
+            LT => {
+                store.inject(StoreFault::LostTail);
+            }
+            TT => {
+                store.inject(StoreFault::TornWrite);
+            }
+            CC => {
+                store.inject(StoreFault::CorruptCheckpoint);
+            }
             CS0 => {
                 store.inject(StoreFault::CorruptSlot(0));
             }
@@ -94,7 +100,7 @@ fn main() {
                 seq.push(alphabet[x % alphabet.len()]);
                 x /= alphabet.len();
             }
-            let mut sim = SimStore::new();
+            let mut sim = FaultyStore::new(SimStore::new());
             let dir = scratch_dir("minimize");
             let mut wrapped = match FileStore::open(&dir) {
                 Ok(f) => FaultyStore::new(f),

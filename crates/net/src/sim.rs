@@ -5,7 +5,7 @@ use crate::event::{Event, EventHandle, EventKind, EventQueue, Transport};
 use crate::id::{GroupId, NodeId};
 use crate::latency::LatencyModel;
 use crate::stats::Stats;
-use crate::storage::{SimStore, StableStore, StoreFault};
+use crate::storage::{FaultyStore, SimStore, StableStore, StoreFault};
 use crate::time::{Duration, Time};
 use crate::topology::Topology;
 use crate::trace::{DropReason, Trace, TraceEvent};
@@ -129,7 +129,7 @@ pub struct Simulator {
     /// (modulo injected storage faults) while volatile state does not.
     storage: Vec<Box<dyn StableStore>>,
     /// Builds the storage backend for each node added from here on;
-    /// `None` means the default in-memory [`SimStore`].
+    /// `None` means the default in-memory `FaultyStore<SimStore>`.
     storage_factory: Option<StorageFactory>,
     queue: EventQueue,
     topo: Topology,
@@ -253,7 +253,7 @@ impl Simulator {
         self.nodes.push(Some(Box::new(node)));
         self.storage.push(match &mut self.storage_factory {
             Some(make) => make(id),
-            None => Box::new(SimStore::new()),
+            None => Box::new(FaultyStore::new(SimStore::new())),
         });
         self.queue.push(self.now, id, EventKind::Start);
         id
@@ -474,10 +474,10 @@ impl Simulator {
     /// Installs a factory that builds the stable-storage backend for
     /// every node added *from here on* (already-added nodes keep their
     /// stores). Without a factory every node gets an in-memory
-    /// [`SimStore`]; deployments that want real files install one
-    /// returning [`FileStore`](crate::FileStore)s (usually wrapped in
-    /// [`FaultyStore`](crate::FaultyStore) so the chaos fault verbs
-    /// keep working).
+    /// [`SimStore`] behind [`FaultyStore`], which injects every storage
+    /// fault; deployments that want real files install one returning
+    /// [`FileStore`](crate::FileStore)s (usually wrapped in
+    /// [`FaultyStore`] too, so the chaos fault verbs keep working).
     pub fn set_storage_factory(
         &mut self,
         make: impl FnMut(NodeId) -> Box<dyn StableStore> + Send + 'static,
@@ -1324,7 +1324,7 @@ mod tests {
         assert_eq!(sim.node::<DurableCounter>(n).count, 3, "recovery lost the log");
 
         // An armed lost-tail fault makes the next commits vanish.
-        sim.storage_mut(n).arm_lying_sync(false);
+        assert!(sim.storage_mut(n).inject(StoreFault::LostTail));
         sim.invoke(driver, |_: &mut Silent2, ctx| {
             ctx.send(n, "x", vec![2]);
         });

@@ -5,18 +5,18 @@
 //! from any callback via [`Context::storage`](crate::Context::storage).
 //! Three implementations ship:
 //!
-//! - [`SimStore`] — the in-memory simulated device. Deterministic,
-//!   allocation-only, with built-in lying-fsync and checkpoint-bit-rot
-//!   fault hooks. This is the default backend for every simulation.
+//! - [`SimStore`] — the in-memory simulated device: deterministic and
+//!   honest (a crash loses exactly the unsynced tail); like
+//!   [`FileStore`](crate::FileStore), it models only checkpoint bit-rot.
 //! - [`FileStore`](crate::FileStore) — real files: an append-only WAL
 //!   of checksummed length-prefixed records plus two ping-pong
 //!   checkpoint slot files, with explicit sync barriers modeling
 //!   `O_SYNC` (see `file_store.rs` for the on-disk layout).
-//! - [`FaultyStore`] — a wrapper that injects lost-tail, torn-write,
-//!   short-read, append-failure and checkpoint-corruption faults
-//!   against *any* backend, subsuming `arm_lying_sync` /
-//!   `corrupt_latest_checkpoint` so the whole fault matrix runs
-//!   against real files too.
+//! - [`FaultyStore`] — a wrapper that injects every device fault
+//!   (lost tail, torn write, short read, dropped appends) against *any*
+//!   backend and forwards medium bit-rot to it. The simulator's default
+//!   store is `FaultyStore<SimStore>`, so the whole fault matrix runs
+//!   through one code path, against simulated and real files alike.
 //!
 //! The storage model mirrors a real fsync-based design:
 //!
@@ -34,10 +34,10 @@
 //!   stopping at the first record whose checksum fails.
 //!
 //! In [`SimStore`] checksums are modeled, not computed: a record or
-//! slot carries a validity flag that the fault injector clears,
-//! exactly as a real CRC mismatch would read back. Faults are
-//! injected through [`StableStore::inject`] with a [`StoreFault`]
-//! (the `torn` / `lost-tail` / `ckpt-corrupt` / `wal-short-read` /
+//! slot carries a validity flag that bit-rot or a torn write clears,
+//! exactly as a real CRC mismatch would read back. Faults are injected
+//! only through [`StableStore::inject`] with a [`StoreFault`] (the
+//! `torn` / `lost-tail` / `ckpt-corrupt` / `wal-short-read` /
 //! `wal-append-fail` / `ckpt-slot-corrupt` chaos verbs route there).
 //!
 //! All buffers that may hold key material are wrapped in
@@ -155,8 +155,9 @@ pub trait StableStore: std::fmt::Debug + Send {
     fn wal_append(&mut self, bytes: Vec<u8>);
 
     /// Flushes the cache to the durable log (an fsync barrier). Under
-    /// an armed lying-sync fault this *reports* success but persists
-    /// nothing — the lie is only observable through the next crash.
+    /// a lying-sync fault armed in a [`FaultyStore`] this *reports*
+    /// success but persists nothing — the lie is only observable
+    /// through the next crash.
     fn sync(&mut self);
 
     /// Appends one record and syncs: the write-ahead discipline
@@ -208,22 +209,6 @@ pub trait StableStore: std::fmt::Debug + Send {
 
     /// Number of checkpoints written so far.
     fn checkpoint_count(&self) -> u64;
-
-    /// Back-compat spelling of [`StoreFault::LostTail`] /
-    /// [`StoreFault::TornWrite`] injection.
-    fn arm_lying_sync(&mut self, torn: bool) {
-        self.inject(if torn {
-            StoreFault::TornWrite
-        } else {
-            StoreFault::LostTail
-        });
-    }
-
-    /// Back-compat spelling of [`StoreFault::CorruptCheckpoint`]
-    /// injection.
-    fn corrupt_latest_checkpoint(&mut self) {
-        self.inject(StoreFault::CorruptCheckpoint);
-    }
 }
 
 /// One durable WAL record. `valid` models the stored checksum: a torn
@@ -251,19 +236,9 @@ struct CheckpointSlot {
     valid: bool,
 }
 
-/// The armed lying-sync failure mode (consumed by the next crash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArmedFault {
-    None,
-    /// Crash discards the whole unsynced tail.
-    LostTail,
-    /// Crash persists the first cached record torn (checksum-invalid)
-    /// and discards the rest.
-    TornWrite,
-}
-
-/// Simulated stable storage for one node. See the [module docs](self).
-#[derive(Debug)]
+/// Simulated stable storage for one node: an honest device. See the
+/// [module docs](self); wrap it in [`FaultyStore`] for device faults.
+#[derive(Debug, Default)]
 pub struct SimStore {
     /// Durable log records; index 0 is absolute position `wal_base`.
     wal: Vec<WalRecord>,
@@ -274,100 +249,49 @@ pub struct SimStore {
     cached: Vec<SecretBytes>,
     /// Ping-pong checkpoint slots.
     slots: [Option<CheckpointSlot>; 2],
-    /// A checkpoint written while a lying sync is armed parks here
-    /// instead of reaching a slot; the crash discards it, an honest
-    /// [`StableStore::heal`] installs it.
-    pending_checkpoint: Option<CheckpointSlot>,
-    next_ckpt_seq: u64,
-    armed: ArmedFault,
-    /// Counters (syncs, commits, checkpoints) for harness assertions.
+    /// Syncs so far.
     syncs: u64,
+    /// Checkpoints so far; also the newest checkpoint's sequence.
     checkpoints: u64,
-}
-
-impl Default for SimStore {
-    fn default() -> Self {
-        SimStore::new()
-    }
 }
 
 impl SimStore {
     /// Creates empty storage (factory-fresh disk).
     pub fn new() -> SimStore {
-        SimStore {
-            wal: Vec::new(),
-            wal_base: 0,
-            cached: Vec::new(),
-            slots: [None, None],
-            pending_checkpoint: None,
-            next_ckpt_seq: 1,
-            armed: ArmedFault::None,
-            syncs: 0,
-            checkpoints: 0,
-        }
+        SimStore::default()
     }
+}
 
-    /// Absolute position one past the last record (durable or cached).
-    fn wal_end(&self) -> u64 {
-        self.wal_base + self.wal.len() as u64 + self.cached.len() as u64
-    }
-
-    /// See [`StableStore::wal_append`].
-    pub fn wal_append(&mut self, bytes: Vec<u8>) {
+impl StableStore for SimStore {
+    fn wal_append(&mut self, bytes: Vec<u8>) {
         self.cached.push(SecretBytes::new(bytes));
     }
 
-    /// See [`StableStore::sync`].
-    pub fn sync(&mut self) {
+    fn sync(&mut self) {
         self.syncs += 1;
-        if self.armed != ArmedFault::None {
-            return;
-        }
         for rec in self.cached.drain(..) {
             self.wal.push(WalRecord {
                 bytes: rec,
                 valid: true,
             });
         }
-        if let Some(slot) = self.pending_checkpoint.take() {
-            self.install_slot(slot);
-        }
     }
 
-    /// See [`StableStore::wal_commit`].
-    pub fn wal_commit(&mut self, bytes: Vec<u8>) {
-        self.wal_append(bytes);
-        self.sync();
-    }
-
-    /// See [`StableStore::checkpoint`].
-    pub fn checkpoint(&mut self, payload: Vec<u8>) {
+    /// Writes the slot over the older of the two ping-pong slots, then
+    /// truncates the WAL prefix neither slot needs any more.
+    fn checkpoint(&mut self, payload: Vec<u8>) {
         self.checkpoints += 1;
+        self.sync();
         let slot = CheckpointSlot {
-            seq: self.next_ckpt_seq,
-            wal_pos: self.wal_end(),
+            seq: self.checkpoints,
+            wal_pos: self.wal_base + self.wal.len() as u64,
             payload: SecretBytes::new(payload),
             valid: true,
         };
-        self.next_ckpt_seq += 1;
-        if self.armed != ArmedFault::None {
-            // The slot write sits in the cache with the WAL tail; both
-            // are lost together if the crash comes first.
-            self.pending_checkpoint = Some(slot);
-            return;
-        }
-        self.sync();
-        self.install_slot(slot);
-    }
-
-    /// Writes `slot` over the older of the two ping-pong slots, then
-    /// truncates the WAL prefix neither slot needs any more.
-    fn install_slot(&mut self, slot: CheckpointSlot) {
-        let [slot0, slot1] = &self.slots;
-        let target = match (slot0, slot1) {
-            (None, _) => 0,
-            (_, None) => 1,
-            (Some(a), Some(b)) => usize::from(a.seq > b.seq),
+        let target = match &self.slots {
+            [None, _] => 0,
+            [_, None] => 1,
+            [Some(a), Some(b)] => usize::from(a.seq > b.seq),
         };
         if let Some(t) = self.slots.get_mut(target) {
             *t = Some(slot);
@@ -386,8 +310,14 @@ impl SimStore {
         }
     }
 
-    /// See [`StableStore::load`].
-    pub fn load(&self) -> Recovered {
+    fn append_torn(&mut self, bytes: Vec<u8>) {
+        self.wal.push(WalRecord {
+            bytes: SecretBytes::new(bytes),
+            valid: false,
+        });
+    }
+
+    fn load(&self) -> Recovered {
         let best = self
             .slots
             .iter()
@@ -408,135 +338,42 @@ impl SimStore {
         }
     }
 
-    /// Arms the lying-sync failure mode: every `sync` until the next
-    /// crash reports success without persisting. `torn` selects whether
-    /// the crash leaves the first cached record torn (checksum-invalid)
-    /// or discards the tail cleanly.
-    pub fn arm_lying_sync(&mut self, torn: bool) {
-        self.armed = if torn {
-            ArmedFault::TornWrite
-        } else {
-            ArmedFault::LostTail
+    /// Medium bit-rot only: invalidates the newest valid slot
+    /// ([`StoreFault::CorruptCheckpoint`]) or a given one.
+    fn inject(&mut self, fault: StoreFault) -> bool {
+        let slot = match fault {
+            StoreFault::CorruptCheckpoint => self
+                .slots
+                .iter_mut()
+                .flatten()
+                .filter(|s| s.valid)
+                .max_by_key(|s| s.seq),
+            StoreFault::CorruptSlot(i) => {
+                self.slots.get_mut(usize::from(i)).and_then(|s| s.as_mut())
+            }
+            StoreFault::LostTail
+            | StoreFault::TornWrite
+            | StoreFault::ShortRead
+            | StoreFault::AppendFail => return false,
         };
-    }
-
-    /// Flips the newest valid checkpoint slot's payload checksum to
-    /// invalid (bit-rot). Takes effect immediately; with both slots
-    /// populated, recovery falls back to the older one.
-    pub fn corrupt_latest_checkpoint(&mut self) {
-        if let Some(slot) = self
-            .slots
-            .iter_mut()
-            .flatten()
-            .filter(|s| s.valid)
-            .max_by_key(|s| s.seq)
-        {
+        if let Some(slot) = slot {
             slot.valid = false;
         }
-    }
-
-    /// See [`StableStore::heal`].
-    pub fn heal(&mut self) {
-        self.armed = ArmedFault::None;
-        self.sync();
-    }
-
-    /// See [`StableStore::sync_count`].
-    pub fn sync_count(&self) -> u64 {
-        self.syncs
-    }
-
-    /// See [`StableStore::checkpoint_count`].
-    pub fn checkpoint_count(&self) -> u64 {
-        self.checkpoints
-    }
-
-    /// See [`StableStore::has_durable_state`].
-    pub fn has_durable_state(&self) -> bool {
-        !self.wal.is_empty() || self.slots.iter().any(|s| s.is_some())
-    }
-}
-
-impl StableStore for SimStore {
-    fn wal_append(&mut self, bytes: Vec<u8>) {
-        SimStore::wal_append(self, bytes);
-    }
-
-    fn sync(&mut self) {
-        SimStore::sync(self);
-    }
-
-    fn checkpoint(&mut self, payload: Vec<u8>) {
-        SimStore::checkpoint(self, payload);
-    }
-
-    fn append_torn(&mut self, bytes: Vec<u8>) {
-        self.wal.push(WalRecord {
-            bytes: SecretBytes::new(bytes),
-            valid: false,
-        });
-    }
-
-    fn load(&self) -> Recovered {
-        SimStore::load(self)
-    }
-
-    fn inject(&mut self, fault: StoreFault) -> bool {
-        match fault {
-            StoreFault::LostTail => {
-                self.arm_lying_sync(false);
-                true
-            }
-            StoreFault::TornWrite => {
-                self.arm_lying_sync(true);
-                true
-            }
-            StoreFault::CorruptCheckpoint => {
-                self.corrupt_latest_checkpoint();
-                true
-            }
-            StoreFault::CorruptSlot(i) => {
-                if let Some(slot) = self.slots.get_mut(usize::from(i)).and_then(|s| s.as_mut()) {
-                    slot.valid = false;
-                }
-                true
-            }
-            // Read-path and append-drop faults need the FaultyStore
-            // wrapper; the bare sim device does not model them.
-            StoreFault::ShortRead | StoreFault::AppendFail => false,
-        }
+        true
     }
 
     fn heal(&mut self) {
-        SimStore::heal(self);
+        self.sync();
     }
 
     fn on_crash(&mut self) -> Option<&'static str> {
-        let armed = std::mem::replace(&mut self.armed, ArmedFault::None);
-        let had_tail = !self.cached.is_empty() || self.pending_checkpoint.is_some();
-        match armed {
-            ArmedFault::TornWrite => {
-                if !self.cached.is_empty() {
-                    let first = self.cached.remove(0);
-                    self.wal.push(WalRecord {
-                        bytes: first,
-                        valid: false,
-                    });
-                }
-            }
-            ArmedFault::LostTail | ArmedFault::None => {}
-        }
+        // The device cache dies with the process; the medium survives.
         self.cached.clear();
-        self.pending_checkpoint = None;
-        match armed {
-            ArmedFault::TornWrite if had_tail => Some("storage-torn-write"),
-            ArmedFault::LostTail if had_tail => Some("storage-lost-tail"),
-            _ => None,
-        }
+        None
     }
 
     fn has_durable_state(&self) -> bool {
-        SimStore::has_durable_state(self)
+        !self.wal.is_empty() || self.slots.iter().any(|s| s.is_some())
     }
 
     fn sync_count(&self) -> u64 {
@@ -548,31 +385,37 @@ impl StableStore for SimStore {
     }
 }
 
-/// An unflushed write parked in the [`FaultyStore`] device cache, in
-/// arrival order. Checkpoints park too: a lying sync swallows the slot
-/// write together with the WAL tail.
+/// The armed lying-sync failure mode (consumed by the next crash).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ArmedFault {
+    None,
+    /// Crash discards the whole unsynced tail.
+    LostTail,
+    /// Crash persists the first parked record torn (checksum-invalid)
+    /// and discards the rest.
+    TornWrite,
+}
+
+/// A write parked in [`FaultyStore`] while a lying sync is armed; a
+/// lying sync swallows slot writes together with the WAL tail.
 #[derive(Debug)]
 enum Parked {
     Rec(SecretBytes),
     Ckpt(SecretBytes),
 }
 
-/// A fault-injection layer over any [`StableStore`] backend.
+/// The one fault-injection layer, over any [`StableStore`] backend (the
+/// simulator's default store is `FaultyStore<SimStore>`).
 ///
-/// `FaultyStore` owns the device cache itself: appends and (while a
-/// lying sync is armed) checkpoints park in the wrapper and only reach
-/// the inner store on an honest `sync`. That realizes the full
-/// [`StoreFault`] matrix — including lost-tail and torn-write crashes
-/// — against backends that have no native fault hooks, such as
-/// [`FileStore`](crate::FileStore). Against [`SimStore`] it is
-/// observationally equivalent to the built-in `arm_lying_sync` /
-/// `corrupt_latest_checkpoint` hooks, modulo checkpoint sequence
-/// numbers (the wrapper assigns them at flush time, the sim device at
-/// call time; a crash can discard an assigned number).
+/// Unarmed, every write goes straight to `inner`, with no copy or
+/// allocation of its own. Once a lying sync is armed, appends and
+/// checkpoints park here until an honest [`StableStore::heal`]; a
+/// crash discards them, tearing the first parked record under
+/// [`StoreFault::TornWrite`]. Medium bit-rot is forwarded to `inner`.
 #[derive(Debug)]
 pub struct FaultyStore<S> {
     inner: S,
-    /// The device cache: writes not yet flushed to `inner`.
+    /// Writes parked since a lying sync was armed; empty otherwise.
     parked: Vec<Parked>,
     armed: ArmedFault,
     short_read: bool,
@@ -594,30 +437,6 @@ impl<S: StableStore> FaultyStore<S> {
             checkpoints: 0,
         }
     }
-
-    /// Read access to the wrapped backend.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps the backend, dropping any parked (unflushed) writes.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// Flushes every parked write into the inner store, in order, and
-    /// syncs it. A parked checkpoint lands at the WAL position of the
-    /// records flushed before it, exactly where it would have landed
-    /// had the device been honest.
-    fn flush_parked(&mut self) {
-        for entry in self.parked.drain(..) {
-            match entry {
-                Parked::Rec(bytes) => self.inner.wal_append(bytes.as_slice().to_vec()),
-                Parked::Ckpt(payload) => self.inner.checkpoint(payload.as_slice().to_vec()),
-            }
-        }
-        self.inner.sync();
-    }
 }
 
 impl<S: StableStore> StableStore for FaultyStore<S> {
@@ -625,32 +444,33 @@ impl<S: StableStore> StableStore for FaultyStore<S> {
         if self.append_fail {
             // Acknowledged and dropped; zeroize the buffer on the way out.
             drop(SecretBytes::new(bytes));
-            return;
+        } else if self.armed == ArmedFault::None {
+            self.inner.wal_append(bytes);
+        } else {
+            self.parked.push(Parked::Rec(SecretBytes::new(bytes)));
         }
-        self.parked.push(Parked::Rec(SecretBytes::new(bytes)));
     }
 
     fn sync(&mut self) {
         self.syncs += 1;
-        if self.armed != ArmedFault::None {
-            return;
+        if self.armed == ArmedFault::None {
+            self.inner.sync();
         }
-        self.flush_parked();
     }
 
     fn checkpoint(&mut self, payload: Vec<u8>) {
         self.checkpoints += 1;
-        if self.armed != ArmedFault::None {
-            // Park at the current cache position. Only the most recent
-            // parked checkpoint survives to a heal — a newer snapshot
-            // written into the same lying cache supersedes the older
-            // one, matching the sim device's single pending slot.
-            self.parked.retain(|p| matches!(p, Parked::Rec(_)));
-            self.parked.push(Parked::Ckpt(SecretBytes::new(payload)));
+        if self.armed == ArmedFault::None {
+            // A checkpoint syncs the WAL tail first.
+            self.syncs += 1;
+            self.inner.checkpoint(payload);
             return;
         }
-        self.sync();
-        self.inner.checkpoint(payload);
+        // Park at the current cache position. Only the most recent
+        // parked checkpoint survives to a heal: a newer snapshot
+        // written into the same lying cache supersedes the older one.
+        self.parked.retain(|p| matches!(p, Parked::Rec(_)));
+        self.parked.push(Parked::Ckpt(SecretBytes::new(payload)));
     }
 
     fn append_torn(&mut self, bytes: Vec<u8>) {
@@ -670,33 +490,30 @@ impl<S: StableStore> StableStore for FaultyStore<S> {
 
     fn inject(&mut self, fault: StoreFault) -> bool {
         match fault {
-            StoreFault::LostTail => {
-                self.armed = ArmedFault::LostTail;
-                true
-            }
-            StoreFault::TornWrite => {
-                self.armed = ArmedFault::TornWrite;
-                true
-            }
-            StoreFault::ShortRead => {
-                self.short_read = true;
-                true
-            }
-            StoreFault::AppendFail => {
-                self.append_fail = true;
-                true
-            }
+            StoreFault::LostTail => self.armed = ArmedFault::LostTail,
+            StoreFault::TornWrite => self.armed = ArmedFault::TornWrite,
+            StoreFault::ShortRead => self.short_read = true,
+            StoreFault::AppendFail => self.append_fail = true,
             StoreFault::CorruptCheckpoint | StoreFault::CorruptSlot(_) => {
-                self.inner.inject(fault)
+                return self.inner.inject(fault)
             }
         }
+        true
     }
 
+    /// Disarms every fault and flushes the parked writes in order, so a
+    /// parked checkpoint lands where an honest device would have put it.
     fn heal(&mut self) {
         self.armed = ArmedFault::None;
         self.short_read = false;
         self.append_fail = false;
-        self.sync();
+        self.syncs += 1;
+        for entry in self.parked.drain(..) {
+            match entry {
+                Parked::Rec(bytes) => self.inner.wal_append(bytes.as_slice().to_vec()),
+                Parked::Ckpt(payload) => self.inner.checkpoint(payload.as_slice().to_vec()),
+            }
+        }
         self.inner.heal();
     }
 
@@ -780,61 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn lying_sync_lost_tail_discards_synced_records_at_crash() {
-        let mut s = SimStore::new();
-        s.wal_commit(vec![1]);
-        s.arm_lying_sync(false);
-        s.wal_commit(vec![2]); // sync lies
-        s.wal_commit(vec![3]);
-        assert_eq!(crash(&mut s), Some("storage-lost-tail"));
-        assert_eq!(s.load().wal, vec![vec![1]]);
-        // The fault is consumed: post-restart commits are durable again.
-        s.wal_commit(vec![4]);
-        crash(&mut s);
-        assert_eq!(s.load().wal, vec![vec![1], vec![4]]);
-    }
-
-    #[test]
-    fn torn_write_leaves_invalid_record_that_load_discards() {
-        let mut s = SimStore::new();
-        s.wal_commit(vec![1]);
-        s.arm_lying_sync(true);
-        s.wal_commit(vec![2]);
-        s.wal_commit(vec![3]);
-        assert_eq!(crash(&mut s), Some("storage-torn-write"));
-        // Record 2 is present-but-torn: the replayable suffix ends
-        // before it, record 3 is gone entirely.
-        assert_eq!(s.load().wal, vec![vec![1]]);
-        assert_eq!(s.wal.len(), 2, "torn record occupies the log");
-    }
-
-    #[test]
-    fn lying_sync_swallows_checkpoints_too() {
-        let mut s = SimStore::new();
-        s.checkpoint(vec![0xAA]);
-        s.arm_lying_sync(false);
-        s.wal_commit(vec![1]);
-        s.checkpoint(vec![0xBB]); // parked in the cache
-        assert_eq!(crash(&mut s), Some("storage-lost-tail"));
-        let r = s.load();
-        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
-        assert!(r.wal.is_empty());
-    }
-
-    #[test]
-    fn heal_installs_the_parked_tail() {
-        let mut s = SimStore::new();
-        s.arm_lying_sync(false);
-        s.wal_commit(vec![1]);
-        s.checkpoint(vec![0xAA]);
-        s.heal();
-        crash(&mut s);
-        let r = s.load();
-        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
-        assert!(r.wal.is_empty(), "checkpoint covers the healed record");
-    }
-
-    #[test]
     fn corrupt_checkpoint_falls_back_to_older_slot() {
         let mut s = SimStore::new();
         s.wal_commit(vec![1]);
@@ -842,14 +604,14 @@ mod tests {
         s.wal_commit(vec![2]);
         s.checkpoint(vec![0xBB]); // covers records 1-2
         s.wal_commit(vec![3]);
-        s.corrupt_latest_checkpoint();
+        assert!(s.inject(StoreFault::CorruptCheckpoint));
         let r = s.load();
         // The older slot wins; its longer WAL suffix is still durable
         // because truncation only drops below the *older* position.
         assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
         assert_eq!(r.wal, vec![vec![2], vec![3]]);
         // Both slots corrupt: full WAL replay from the base.
-        s.corrupt_latest_checkpoint();
+        s.inject(StoreFault::CorruptCheckpoint);
         let r = s.load();
         assert!(r.checkpoint.is_none());
         assert_eq!(r.wal, vec![vec![2], vec![3]]);
@@ -860,7 +622,7 @@ mod tests {
         let mut s = SimStore::new();
         s.checkpoint(vec![0xAA]);
         s.checkpoint(vec![0xBB]);
-        s.corrupt_latest_checkpoint();
+        s.inject(StoreFault::CorruptCheckpoint);
         // seq 2 is invalid; seq 1 must be chosen even though slot 0
         // holds it (order of slots is irrelevant).
         assert_eq!(s.load().checkpoint, Some((1, vec![0xAA])));
@@ -877,8 +639,27 @@ mod tests {
         drop(sb);
     }
 
-    // ---- FaultyStore: the wrapper must reproduce the sim device's
-    // fault semantics against an arbitrary backend. ----
+    /// The bare device models only medium faults; device dishonesty
+    /// needs the wrapper.
+    #[test]
+    fn sim_store_rejects_device_faults() {
+        let mut s = SimStore::new();
+        for fault in [
+            StoreFault::LostTail,
+            StoreFault::TornWrite,
+            StoreFault::ShortRead,
+            StoreFault::AppendFail,
+        ] {
+            assert!(!s.inject(fault), "{fault:?}");
+        }
+        s.wal_commit(vec![1]);
+        s.wal_append(vec![2]);
+        assert_eq!(crash(&mut s), None);
+        assert_eq!(s.load().wal, vec![vec![1]]);
+    }
+
+    // ---- FaultyStore: every device fault, here over the simulator's
+    // default backend. ----
 
     fn faulty() -> FaultyStore<SimStore> {
         FaultyStore::new(SimStore::new())
@@ -922,6 +703,46 @@ mod tests {
         // behind it and the replayable suffix still ends at record 1.
         f.wal_commit(vec![4]);
         assert_eq!(f.load().wal, vec![vec![1]]);
+    }
+
+    #[test]
+    fn torn_write_leaves_invalid_record_that_load_discards() {
+        let mut f = faulty();
+        f.wal_commit(vec![1]);
+        f.inject(StoreFault::TornWrite);
+        f.wal_commit(vec![2]);
+        f.wal_commit(vec![3]);
+        assert_eq!(f.on_crash(), Some("storage-torn-write"));
+        // Record 2 is present-but-torn: the replayable suffix ends
+        // before it, record 3 is gone entirely.
+        assert_eq!(f.load().wal, vec![vec![1]]);
+        assert_eq!(f.inner.wal.len(), 2, "torn record occupies the log");
+    }
+
+    #[test]
+    fn lying_sync_swallows_checkpoints_too() {
+        let mut f = faulty();
+        f.checkpoint(vec![0xAA]);
+        f.inject(StoreFault::LostTail);
+        f.wal_commit(vec![1]);
+        f.checkpoint(vec![0xBB]); // parked in the cache
+        assert_eq!(f.on_crash(), Some("storage-lost-tail"));
+        let r = f.load();
+        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
+        assert!(r.wal.is_empty());
+    }
+
+    #[test]
+    fn heal_installs_the_parked_tail() {
+        let mut f = faulty();
+        f.inject(StoreFault::LostTail);
+        f.wal_commit(vec![1]);
+        f.checkpoint(vec![0xAA]);
+        f.heal();
+        f.on_crash();
+        let r = f.load();
+        assert_eq!(r.checkpoint, Some((1, vec![0xAA])));
+        assert!(r.wal.is_empty(), "checkpoint covers the healed record");
     }
 
     #[test]
@@ -976,19 +797,22 @@ mod tests {
         assert!(f.load().checkpoint.is_none());
     }
 
+    /// The wrapper counts every sync and checkpoint it is asked for,
+    /// honest or lied to; on the honest path that is exactly the
+    /// device's own count.
     #[test]
     fn faulty_counters_mirror_sim_counting() {
-        let mut a = SimStore::new();
-        let mut b = faulty();
-        for s in [&mut a as &mut dyn StableStore, &mut b as &mut dyn StableStore] {
-            s.wal_commit(vec![1]);
-            s.checkpoint(vec![2]);
-            s.arm_lying_sync(false);
-            s.wal_commit(vec![3]);
-            s.checkpoint(vec![4]); // armed: no sync bump
-            s.heal();
-        }
-        assert_eq!(a.sync_count(), b.sync_count());
-        assert_eq!(a.checkpoint_count(), b.checkpoint_count());
+        let mut f = faulty();
+        f.wal_commit(vec![1]);
+        f.checkpoint(vec![2]);
+        assert_eq!(f.sync_count(), f.inner.sync_count());
+        assert_eq!(f.checkpoint_count(), f.inner.checkpoint_count());
+        f.inject(StoreFault::LostTail);
+        f.wal_commit(vec![3]); // lied to: counted, not forwarded
+        f.checkpoint(vec![4]); // parked: no sync bump
+        assert_eq!((f.sync_count(), f.checkpoint_count()), (3, 2));
+        assert_eq!(f.inner.checkpoint_count(), 1);
+        f.heal();
+        assert_eq!((f.sync_count(), f.checkpoint_count()), (4, 2));
     }
 }

@@ -1,14 +1,13 @@
-//! Property-based tests for the pluggable stable-storage layer
-//! (ISSUE 9): the simulated device and the real file-backed device
-//! must be observationally equivalent under arbitrary operation/fault
+//! Property-based tests for the pluggable stable-storage layer: the
+//! simulator's default store (`FaultyStore<SimStore>`) and the real
+//! file-backed device behind the same fault wrapper must be
+//! observationally equivalent under arbitrary operation/fault
 //! sequences, recovery must be a fixpoint on both, the ping-pong slots
 //! must fall back correctly under every corruption combination, and a
 //! `FileStore` must survive reopen-from-disk and crash-mid-checkpoint.
 //!
 //! Equivalence is over `load()` payloads, WAL suffixes, durable-state
-//! flags and operation counters — *not* checkpoint sequence numbers,
-//! which the wrapper assigns at flush time while the simulated device
-//! assigns at call time (a crash can discard a consumed number).
+//! flags and operation counters.
 
 use mykil_net::{scratch_dir, FaultyStore, FileStore, SimStore, StableStore, StoreFault};
 use proptest::prelude::*;
@@ -59,12 +58,14 @@ fn apply(store: &mut dyn StableStore, ops: &[Op]) {
                 let _ = store.on_crash();
             }
             Op::ArmLostTail => {
-                store.arm_lying_sync(false);
+                store.inject(StoreFault::LostTail);
             }
             Op::ArmTorn => {
-                store.arm_lying_sync(true);
+                store.inject(StoreFault::TornWrite);
             }
-            Op::CorruptCkpt => store.corrupt_latest_checkpoint(),
+            Op::CorruptCkpt => {
+                store.inject(StoreFault::CorruptCheckpoint);
+            }
             Op::CorruptSlot(i) => {
                 store.inject(StoreFault::CorruptSlot(*i));
             }
@@ -85,20 +86,26 @@ fn view(store: &dyn StableStore) -> (Option<Vec<u8>>, Vec<Vec<u8>>, bool, u64, u
     )
 }
 
+/// The simulator's default store.
+fn sim_backed() -> FaultyStore<SimStore> {
+    FaultyStore::new(SimStore::new())
+}
+
 fn file_backed(dir: &Path) -> FaultyStore<FileStore> {
     FaultyStore::new(FileStore::open(dir).expect("open scratch file store"))
 }
 
 proptest! {
-    /// The simulated device and a fault-wrapped real file device agree
-    /// on every observable after any mixed operation/fault history —
-    /// `FaultyStore<FileStore>` really is a drop-in for `SimStore`.
+    /// The simulator's default store and a fault-wrapped real file
+    /// device agree on every observable after any mixed
+    /// operation/fault history — `FaultyStore<FileStore>` really is a
+    /// drop-in for `FaultyStore<SimStore>`.
     #[test]
     fn sim_and_file_devices_are_equivalent(
         ops in proptest::collection::vec(op(), 0..24)
     ) {
         let dir = scratch_dir("storage-equiv");
-        let mut sim = SimStore::new();
+        let mut sim = sim_backed();
         let mut file = file_backed(&dir);
         apply(&mut sim, &ops);
         apply(&mut file, &ops);
@@ -116,7 +123,7 @@ proptest! {
     ) {
         let dir = scratch_dir("storage-fixpoint");
         let stores: Vec<Box<dyn StableStore>> =
-            vec![Box::new(SimStore::new()), Box::new(file_backed(&dir))];
+            vec![Box::new(sim_backed()), Box::new(file_backed(&dir))];
         for mut store in stores {
             apply(store.as_mut(), &ops);
             // A crashed-then-healed device: recovery never runs against
@@ -189,7 +196,7 @@ fn older_slot_fallback_under_every_corruption_combination() {
 
     let build = |which: &str| -> Vec<Box<dyn StableStore>> {
         let dir = scratch_dir(&format!("storage-slots-{which}"));
-        vec![Box::new(SimStore::new()), Box::new(file_backed(&dir))]
+        vec![Box::new(sim_backed()), Box::new(file_backed(&dir))]
     };
 
     for combo in 0u8..4 {
