@@ -8,22 +8,13 @@
 
 use crate::traffic::RekeyTraffic;
 use crate::KeyManager;
-use mykil_tree::{KeyTree, MemberId, RekeyPlan, TreeConfig, KEY_LEN};
+use mykil_tree::{KeyTree, MemberId, TreeConfig, KEY_LEN};
 use rand::RngCore;
 
 /// The global-tree key manager.
 #[derive(Debug, Clone)]
 pub struct FlatLkh {
     tree: KeyTree,
-}
-
-fn traffic_of(plan: &RekeyPlan) -> RekeyTraffic {
-    RekeyTraffic {
-        multicast_bytes: plan.multicast_bytes() as u64,
-        multicast_messages: u64::from(!plan.changes.is_empty()),
-        unicast_bytes: plan.unicast_bytes() as u64,
-        unicast_messages: plan.unicasts.len() as u64,
-    }
 }
 
 impl FlatLkh {
@@ -43,14 +34,14 @@ impl FlatLkh {
 impl KeyManager for FlatLkh {
     fn join(&mut self, member: MemberId, rng: &mut dyn RngCore) -> RekeyTraffic {
         match self.tree.join(member, rng) {
-            Ok(plan) => traffic_of(&plan),
+            Ok(plan) => RekeyTraffic::from(&plan),
             Err(_) => RekeyTraffic::default(),
         }
     }
 
     fn leave(&mut self, member: MemberId, rng: &mut dyn RngCore) -> RekeyTraffic {
         match self.tree.leave(member, rng) {
-            Ok(plan) => traffic_of(&plan),
+            Ok(plan) => RekeyTraffic::from(&plan),
             Err(_) => RekeyTraffic::default(),
         }
     }
@@ -62,7 +53,7 @@ impl KeyManager for FlatLkh {
             .filter(|m| self.tree.contains(*m))
             .collect();
         match self.tree.batch_leave(&present, rng) {
-            Ok(out) => traffic_of(&out.plan),
+            Ok(out) => RekeyTraffic::from(&out.plan),
             Err(_) => RekeyTraffic::default(),
         }
     }

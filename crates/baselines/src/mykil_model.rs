@@ -9,7 +9,7 @@
 
 use crate::traffic::RekeyTraffic;
 use crate::KeyManager;
-use mykil_tree::{KeyTree, MemberId, RekeyPlan, TreeConfig, KEY_LEN};
+use mykil_tree::{KeyTree, MemberId, TreeConfig, KEY_LEN};
 use rand::RngCore;
 use std::collections::BTreeMap;
 
@@ -19,15 +19,6 @@ pub struct MykilModel {
     areas: Vec<KeyTree>,
     area_of: BTreeMap<MemberId, usize>,
     next_area: usize,
-}
-
-fn traffic_of(plan: &RekeyPlan) -> RekeyTraffic {
-    RekeyTraffic {
-        multicast_bytes: plan.multicast_bytes() as u64,
-        multicast_messages: u64::from(!plan.changes.is_empty()),
-        unicast_bytes: plan.unicast_bytes() as u64,
-        unicast_messages: plan.unicasts.len() as u64,
-    }
 }
 
 impl MykilModel {
@@ -77,7 +68,7 @@ impl MykilModel {
         let mut total = RekeyTraffic::default();
         for (area, leavers) in by_area {
             if let Ok(out) = self.areas[area].batch_leave(&leavers, rng) {
-                total += traffic_of(&out.plan);
+                total += RekeyTraffic::from(&out.plan);
             }
         }
         total
@@ -94,7 +85,7 @@ impl KeyManager for MykilModel {
         match self.areas[area].join(member, rng) {
             Ok(plan) => {
                 self.area_of.insert(member, area);
-                traffic_of(&plan)
+                RekeyTraffic::from(&plan)
             }
             Err(_) => RekeyTraffic::default(),
         }
@@ -105,7 +96,7 @@ impl KeyManager for MykilModel {
             return RekeyTraffic::default();
         };
         match self.areas[area].leave(member, rng) {
-            Ok(plan) => traffic_of(&plan),
+            Ok(plan) => RekeyTraffic::from(&plan),
             Err(_) => RekeyTraffic::default(),
         }
     }
@@ -380,11 +371,11 @@ mod tests {
         let mut rng = Drbg::from_seed(2);
         let mut m = MykilModel::new(4, TreeConfig::binary(), &mut rng);
         crate::populate(&mut m, 400, &mut rng);
-        let keys_before: Vec<_> = (0..4).map(|a| m.area_tree(a).area_key().clone()).collect();
+        let keys_before: Vec<_> = (0..4).map(|a| m.area_tree(a).area_key()).collect();
         let victim = MemberId(5);
         let victim_area = m.area_of(victim).unwrap();
         m.leave(victim, &mut rng);
-        for (a, before) in keys_before.iter().enumerate() {
+        for (a, before) in keys_before.into_iter().enumerate() {
             if a == victim_area {
                 assert_ne!(m.area_tree(a).area_key(), before);
             } else {

@@ -1,5 +1,6 @@
 //! Rekey traffic accounting in the paper's units.
 
+use mykil_tree::RekeyPlan;
 use std::ops::{Add, AddAssign};
 
 /// Bytes and messages generated by one rekey operation.
@@ -17,6 +18,20 @@ pub struct RekeyTraffic {
     pub unicast_bytes: u64,
     /// Unicast messages sent.
     pub unicast_messages: u64,
+}
+
+impl From<&RekeyPlan> for RekeyTraffic {
+    /// The traffic of carrying out `plan`: its key changes go out as
+    /// one multicast message (none when nothing changed), and each
+    /// unicast delivery is one message.
+    fn from(plan: &RekeyPlan) -> RekeyTraffic {
+        RekeyTraffic {
+            multicast_bytes: plan.multicast_bytes() as u64,
+            multicast_messages: u64::from(!plan.changes.is_empty()),
+            unicast_bytes: plan.unicast_bytes() as u64,
+            unicast_messages: plan.unicasts.len() as u64,
+        }
+    }
 }
 
 impl RekeyTraffic {

@@ -485,21 +485,33 @@ fn seeds_fault_plan() -> Vec<(&'static str, Vec<u8>)> {
 // tree-snapshot: auxiliary-tree replica image decode (both backends)
 // ---------------------------------------------------------------------
 
-/// Feeds arbitrary bytes to [`AreaTree::restore`] — the decoder a
-/// backup controller runs on every replicated snapshot, dispatching on
-/// the `MKT1`/`MKH1` magic. Any input that restores must (a) pass the
-/// tree's full structural invariant check and (b) re-encode to exactly
-/// the input bytes: restore hardening makes every accepted image
-/// canonical, so both oracles are safe on fuzz-shaped data.
+/// Feeds arbitrary bytes to [`mykil_tree::AreaTree`]'s `restore` —
+/// the decoder a backup controller runs on every replicated snapshot,
+/// dispatching on the `MKT1`/`MKH1` magic. Any input that restores must
+/// (a) pass the tree's full structural invariant check and (b)
+/// re-encode to exactly the input bytes: restore hardening makes every
+/// accepted image canonical, so both oracles are safe on fuzz-shaped
+/// data. The restored tree must then stay operable the way a promoted
+/// backup uses it: one fresh member joins, one existing member (if
+/// any) leaves, and the invariants still hold.
 fn run_tree_snapshot(data: &[u8]) {
-    use mykil_tree::AreaTree;
-    if let Ok(tree) = AreaTree::restore(data) {
+    use mykil_tree::{AreaTree, MemberId};
+    if let Ok(mut tree) = AreaTree::restore(data) {
         tree.check_invariants();
         assert_eq!(
             tree.snapshot(),
             data,
             "restored tree re-encoded differently (snapshot not canonical)"
         );
+        let mut rng = Drbg::from_seed(0);
+        let fresh = (0..).map(MemberId).find(|m| !tree.contains(*m));
+        let fresh = fresh.expect("a finite tree leaves some member id free");
+        let leaver = tree.members().next();
+        tree.join(fresh, &mut rng).expect("fresh member joins");
+        if let Some(m) = leaver {
+            tree.leave(m, &mut rng).expect("existing member leaves");
+        }
+        tree.check_invariants();
     }
 }
 
@@ -542,6 +554,18 @@ fn seeds_tree_snapshot() -> Vec<(&'static str, Vec<u8>)> {
     inflated.extend_from_slice(&u64::MAX.to_be_bytes());
     inflated.extend_from_slice(&[0u8; 24]);
 
+    // A one-node image whose root is an occupied leaf: the decoder
+    // accepts it though no tree writes it, and the post-restore join
+    // must split the root itself.
+    let mut root_occupant = b"MKH1".to_vec();
+    root_occupant.push(2);
+    root_occupant.extend_from_slice(&1u64.to_be_bytes());
+    root_occupant.extend_from_slice(&[0u8; 16]); // no parent, version 0
+    root_occupant.push(1);
+    root_occupant.extend_from_slice(&0u64.to_be_bytes());
+    root_occupant.extend_from_slice(&[7u8; 32]); // forest secret
+    root_occupant.extend_from_slice(&0u64.to_be_bytes());
+
     vec![
         ("seed-explicit.bin", explicit.snapshot()),
         ("seed-khf-overrides.bin", khf.snapshot()),
@@ -549,6 +573,7 @@ fn seeds_tree_snapshot() -> Vec<(&'static str, Vec<u8>)> {
         ("seed-empty-khf.bin", empty_khf.snapshot()),
         ("seed-khf-truncated-tail.bin", truncated),
         ("regression-inflated-count.bin", inflated),
+        ("seed-root-occupant.bin", root_occupant),
     ]
 }
 
@@ -583,6 +608,18 @@ mod tests {
         assert_eq!(snap.members.len(), 3);
         assert!(snap.parent.is_some());
         assert_eq!(snap.to_bytes(), raw);
+    }
+
+    /// The root-occupant seed is accepted, so fuzzing reaches the
+    /// post-restore split of an occupied root.
+    #[test]
+    fn root_occupant_seed_restores() {
+        let (_, bytes) = seeds_tree_snapshot()
+            .into_iter()
+            .find(|(name, _)| *name == "seed-root-occupant.bin")
+            .expect("seed registered");
+        let tree = mykil_tree::AreaTree::restore(&bytes).expect("seed restores");
+        assert_eq!(tree.leaf_of(mykil_tree::MemberId(0)), Ok(tree.root()));
     }
 
     #[test]

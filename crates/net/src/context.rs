@@ -105,8 +105,8 @@ impl<'a> Context<'a> {
 
     /// This node's simulated stable storage (WAL + checkpoints). State
     /// written and synced here survives crashes — modulo any injected
-    /// storage fault — and is what [`Node::on_restarted`]
-    /// (crate::Node::on_restarted) recovers from.
+    /// storage fault — and is what
+    /// [`Node::on_restarted`](crate::Node::on_restarted) recovers from.
     pub fn storage(&mut self) -> &mut dyn StableStore {
         self.storage
     }

@@ -175,7 +175,7 @@ fn parse_slot(bytes: &[u8]) -> Option<SlotOnDisk> {
     })
 }
 
-/// File-backed [`StableStore`]. See the [module docs](self).
+/// File-backed [`StableStore`]; `file_store.rs` documents the layout.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,

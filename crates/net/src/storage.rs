@@ -142,8 +142,8 @@ pub struct Recovered {
 }
 
 /// Pluggable stable storage for one node: WAL + ping-pong checkpoint
-/// slots + crash/fault semantics. See the [module docs](self) for the
-/// storage model and the implementations.
+/// slots + crash/fault semantics. The `storage.rs` module docs describe
+/// the storage model and the implementations.
 ///
 /// Object-safe: the simulator holds one `Box<dyn StableStore>` per
 /// node and a factory can swap the backend per deployment
@@ -236,8 +236,8 @@ struct CheckpointSlot {
     valid: bool,
 }
 
-/// Simulated stable storage for one node: an honest device. See the
-/// [module docs](self); wrap it in [`FaultyStore`] for device faults.
+/// Simulated stable storage for one node: an honest device (model in
+/// `storage.rs`); wrap it in [`FaultyStore`] for device faults.
 #[derive(Debug, Default)]
 pub struct SimStore {
     /// Durable log records; index 0 is absolute position `wal_base`.

@@ -237,7 +237,7 @@ mod tests {
         // Every newcomer got a full path ending at the root.
         for u in &out.plan.unicasts {
             assert_eq!(u.keys.last().unwrap().0, t.root());
-            assert_eq!(&u.keys.last().unwrap().1, t.area_key());
+            assert_eq!(u.keys.last().unwrap().1, t.area_key());
         }
         t.check_invariants();
     }
@@ -290,10 +290,10 @@ mod tests {
     fn empty_batch_is_noop() {
         let mut r = Drbg::from_seed(6);
         let mut t = tree_with(4, TreeConfig::quad(), &mut r);
-        let key_before = t.area_key().clone();
+        let key_before = t.area_key();
         let out = t.batch(&[], &[], &mut r).unwrap();
         assert!(out.plan.is_empty());
-        assert_eq!(t.area_key(), &key_before);
+        assert_eq!(t.area_key(), key_before);
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //! protocol crate turns into actual wire messages, and which the
 //! benchmarks use directly for byte accounting.
 //!
+//! There is one tree type, [`Tree`], generic over the [`KeyStore`] that
+//! holds its keys: [`KeyTree`] stores every key (the paper's design),
+//! [`KhfTree`] derives them from a keyed-hash forest, and [`AreaTree`],
+//! the tree an area controller holds, runs on [`AreaKeys`], which picks
+//! one of the two at runtime from [`TreeConfig::backend`].
+//!
 //! # Example
 //!
 //! ```
@@ -43,7 +49,6 @@
 //! # Ok::<(), mykil_tree::TreeError>(())
 //! ```
 
-mod aux;
 mod batch;
 mod dot;
 mod error;
@@ -53,14 +58,13 @@ mod snapshot;
 mod store;
 mod tree;
 
-pub use aux::{AreaTree, AuxTree};
 pub use batch::BatchOutcome;
 pub use error::TreeError;
 pub use member_view::MemberView;
 pub use plan::{EncryptUnder, KeyChange, RekeyPlan, UnicastKeys};
 pub use snapshot::SnapshotError;
-pub use store::{ExplicitKeys, KeyStore, KhfKeys, RotateStyle};
-pub use tree::{KeyTree, KhfTree, NodeIdx, Tree, TreeBackend, TreeConfig};
+pub use store::{AreaKeys, ExplicitKeys, KeyStore, KhfKeys, RotateStyle};
+pub use tree::{AreaTree, KeyTree, KhfTree, NodeIdx, Tree, TreeBackend, TreeConfig};
 
 /// Identifier of a group member within one area's key tree.
 ///

@@ -140,7 +140,7 @@ mod tests {
         for (m, v) in &views {
             assert_eq!(
                 v.key(tree.root()),
-                Some(tree.area_key().clone()),
+                Some(tree.area_key()),
                 "{m} lost the area key"
             );
         }
@@ -170,14 +170,14 @@ mod tests {
         // The departed member learns nothing from the rekey multicast.
         let mut dv = departed_view.clone();
         assert_eq!(dv.apply_plan(&plan), 0, "forward secrecy violated");
-        assert_ne!(dv.key(tree.root()), Some(tree.area_key().clone()));
+        assert_ne!(dv.key(tree.root()), Some(tree.area_key()));
 
         // Every remaining member learns the new area key.
         for (m, v) in views.iter_mut() {
             v.apply_plan(&plan);
             assert_eq!(
                 v.key(tree.root()),
-                Some(tree.area_key().clone()),
+                Some(tree.area_key()),
                 "{m} missed the rekey"
             );
         }
@@ -187,7 +187,7 @@ mod tests {
     fn backward_secrecy_on_join() {
         let mut r = Drbg::from_seed(4);
         let (mut tree, _views) = build(16, TreeConfig::binary(), &mut r);
-        let old_area_key = tree.area_key().clone();
+        let old_area_key = tree.area_key();
         let plan = tree.join(MemberId(99), &mut r).unwrap();
         let newcomer = plan
             .unicasts
@@ -199,7 +199,7 @@ mod tests {
             !nv.holds(&old_area_key),
             "backward secrecy violated: newcomer holds old area key"
         );
-        assert_eq!(nv.key(tree.root()), Some(tree.area_key().clone()));
+        assert_eq!(nv.key(tree.root()), Some(tree.area_key()));
     }
 
     #[test]
@@ -216,7 +216,7 @@ mod tests {
             v.apply_plan(&out.plan);
             assert_eq!(
                 v.key(tree.root()),
-                Some(tree.area_key().clone()),
+                Some(tree.area_key()),
                 "{m} missed batch rekey"
             );
         }

@@ -25,7 +25,7 @@ pub enum EncryptUnder {
 }
 
 /// One changed tree node and the encrypted copies that distribute it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyChange {
     /// The node whose key changed.
     pub node: NodeIdx,
@@ -38,7 +38,7 @@ pub struct KeyChange {
 
 /// Keys that must be delivered to one member over unicast
 /// (a joining member's full path, or a displaced member's new leaf key).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnicastKeys {
     /// The recipient.
     pub member: MemberId,
@@ -47,7 +47,7 @@ pub struct UnicastKeys {
 }
 
 /// The complete result of a join, leave, or batch rekey.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RekeyPlan {
     /// Changed keys, deepest node first, root last.
     pub changes: Vec<KeyChange>,

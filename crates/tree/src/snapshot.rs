@@ -5,8 +5,8 @@
 //! complete auxiliary tree". [`Tree::snapshot`] serializes exactly that
 //! state; [`Tree::restore`] rebuilds a tree a backup can take over with.
 //!
-//! Two formats exist, one per [`KeyStore`] backend, distinguished by a
-//! 4-byte magic:
+//! Two formats exist, one per backend, distinguished by a 4-byte magic
+//! that the [`KeyStore`] writes and checks:
 //!
 //! - `MKT1` ([`crate::KeyTree`]): structure, per-node key bytes,
 //!   versions, occupancy — byte-for-byte the original format.
@@ -18,11 +18,14 @@
 //!   them would derive stale `(node, version)` keys and desynchronize
 //!   from the members.
 //!
-//! [`crate::AreaTree::restore`] dispatches on the magic so replicated
-//! state moves between controllers regardless of backend.
+//! [`Tree::restore`] is the one decoder for every store: a
+//! single-backend store accepts only its own magic, while
+//! [`crate::AreaKeys`] accepts either and runs the backend the image
+//! names, so replicated state moves between controllers regardless of
+//! backend.
 
 use crate::store::KeyStore;
-use crate::tree::{Tree, TreeConfig};
+use crate::tree::Tree;
 use crate::MemberId;
 use std::fmt;
 
@@ -69,7 +72,7 @@ impl<S: KeyStore> Tree<S> {
     /// occupancy) for transfer to a backup controller.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.node_count() * 40 + 16);
-        out.extend_from_slice(S::SNAPSHOT_MAGIC);
+        out.extend_from_slice(self.store().snapshot_magic());
         out.push(self.config().arity() as u8);
         out.extend_from_slice(&(self.node_count() as u64).to_be_bytes());
         for i in 0..self.node_count() {
@@ -92,18 +95,19 @@ impl<S: KeyStore> Tree<S> {
         out
     }
 
-    /// Rebuilds a tree from [`Self::snapshot`] output of the same
-    /// backend (use [`crate::AreaTree::restore`] when the backend is
-    /// not statically known).
+    /// Rebuilds a tree from [`Self::snapshot`] output whose format `S`
+    /// reads: its own backend's for [`crate::KeyTree`] and
+    /// [`crate::KhfTree`], either backend's for [`crate::AreaTree`].
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] on truncated or malformed input.
+    /// Returns [`SnapshotError`] on truncated or malformed input, or on
+    /// a magic `S` does not read.
     pub fn restore(bytes: &[u8]) -> Result<Tree<S>, SnapshotError> {
-        if bytes.len() < 4 || &bytes[..4] != S::SNAPSHOT_MAGIC {
-            return Err(SnapshotError("bad magic"));
-        }
-        let mut r = Reader(&bytes[4..]);
+        let (magic, body) = bytes
+            .split_at_checked(4)
+            .ok_or(SnapshotError("bad magic"))?;
+        let mut r = Reader(body);
         let arity = r.u8()? as usize;
         if !(2..=16).contains(&arity) {
             return Err(SnapshotError("bad arity"));
@@ -119,8 +123,8 @@ impl<S: KeyStore> Tree<S> {
         if count > r.0.len() / 17 {
             return Err(SnapshotError("node count exceeds input"));
         }
-        let mut tree =
-            Tree::<S>::restore_shell(TreeConfig::with_arity(arity).with_backend(S::BACKEND), count);
+        let store = S::restore_shell(magic, count).ok_or(SnapshotError("bad magic"))?;
+        let mut tree = Tree::restore_shell(arity, store, count);
         for i in 0..count {
             let parent_raw = r.u64()?;
             let parent = if parent_raw == 0 {

@@ -8,6 +8,12 @@
 //! 32-byte forest secret plus explicit overrides for leave-style
 //! rotations, making resident key bytes O(updated set).
 //!
+//! [`AreaKeys`] is the store an area controller's tree runs on: it
+//! picks one of the two from [`TreeConfig::backend`] when the tree is
+//! built (or from the snapshot magic when it is restored) and forwards
+//! every call to it. It is the one place in the crate that dispatches
+//! on the backend.
+//!
 //! # KHF derivation labels
 //!
 //! Derivation is rooted in an AC-only forest secret `F` (members only
@@ -29,6 +35,7 @@
 //! A later derivable rotation on the same node drops the override and
 //! returns the node to the forest.
 
+use crate::tree::{TreeBackend, TreeConfig};
 use mykil_crypto::hmac::hmac_sha256;
 use mykil_crypto::keys::SymmetricKey;
 use mykil_crypto::SYMMETRIC_KEY_LEN;
@@ -54,15 +61,13 @@ pub enum RotateStyle {
 /// internal plumbing for `snapshot.rs` and not meant to be called
 /// directly.
 pub trait KeyStore: Clone + std::fmt::Debug {
-    /// Magic prefix of this backend's snapshot format.
-    const SNAPSHOT_MAGIC: &'static [u8; 4];
-
-    /// The [`TreeBackend`](crate::tree::TreeBackend) tag this store
-    /// implements (so a restored tree's config reports it correctly).
-    const BACKEND: crate::tree::TreeBackend;
-
     /// Creates storage holding only the root key (node 0, version 0).
-    fn new_root<R: RngCore + ?Sized>(rng: &mut R) -> Self;
+    /// A store that can run either backend builds the one
+    /// `cfg.backend()` selects; a single-backend store ignores it.
+    fn new_root<R: RngCore + ?Sized>(cfg: TreeConfig, rng: &mut R) -> Self;
+
+    /// The backend this store runs (what the tree's config reports).
+    fn backend(&self) -> TreeBackend;
 
     /// Registers a newly allocated node (version 0). Nodes arrive in
     /// index order; `parent` is `None` only for the root.
@@ -88,10 +93,16 @@ pub trait KeyStore: Clone + std::fmt::Debug {
 
     // ---- snapshot plumbing (see `snapshot.rs`) ----
 
-    /// Empty storage for restore; nodes arrive via
-    /// [`Self::restore_node`], backend state via [`Self::restore_tail`].
+    /// Magic prefix of this store's snapshot format.
     #[doc(hidden)]
-    fn restore_shell(capacity: usize) -> Self;
+    fn snapshot_magic(&self) -> &'static [u8; 4];
+
+    /// Empty storage for restoring an image that starts with `magic`,
+    /// or `None` when this store cannot read that format. Nodes arrive
+    /// via [`Self::restore_node`], backend state via
+    /// [`Self::restore_tail`].
+    #[doc(hidden)]
+    fn restore_shell(magic: &[u8], capacity: usize) -> Option<Self>;
 
     /// Writes this backend's per-node snapshot field (the 16 key bytes
     /// for explicit storage; nothing for derived storage).
@@ -139,22 +150,18 @@ pub struct ExplicitKeys {
 }
 
 impl ExplicitKeys {
-    /// Borrowed key of `node` — explicit storage can hand out views
-    /// without copying, which the borrow-by-default accessors on
-    /// `Tree<ExplicitKeys>` rely on.
-    pub(crate) fn key_ref(&self, node: usize) -> &SymmetricKey {
-        &self.keys[node]
-    }
+    const MAGIC: &'static [u8; 4] = b"MKT1";
 }
 
 impl KeyStore for ExplicitKeys {
-    const SNAPSHOT_MAGIC: &'static [u8; 4] = b"MKT1";
-    const BACKEND: crate::tree::TreeBackend = crate::tree::TreeBackend::Explicit;
-
-    fn new_root<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+    fn new_root<R: RngCore + ?Sized>(_cfg: TreeConfig, rng: &mut R) -> Self {
         ExplicitKeys {
             keys: vec![SymmetricKey::random(rng)],
         }
+    }
+
+    fn backend(&self) -> TreeBackend {
+        TreeBackend::Explicit
     }
 
     fn on_alloc<R: RngCore + ?Sized>(&mut self, node: usize, _parent: Option<usize>, rng: &mut R) {
@@ -181,10 +188,14 @@ impl KeyStore for ExplicitKeys {
         self.keys.len() * SYMMETRIC_KEY_LEN
     }
 
-    fn restore_shell(capacity: usize) -> Self {
-        ExplicitKeys {
+    fn snapshot_magic(&self) -> &'static [u8; 4] {
+        Self::MAGIC
+    }
+
+    fn restore_shell(magic: &[u8], capacity: usize) -> Option<Self> {
+        (magic == Self::MAGIC).then(|| ExplicitKeys {
             keys: Vec::with_capacity(capacity),
-        }
+        })
     }
 
     fn snapshot_node(&self, node: usize, out: &mut Vec<u8>) {
@@ -232,6 +243,8 @@ pub struct KhfKeys {
 }
 
 impl KhfKeys {
+    const MAGIC: &'static [u8; 4] = b"MKH1";
+
     /// The AC-only derivation secret of `node` (never a member-visible
     /// value). Recursion depth is the tree height.
     fn secret(&self, node: usize) -> [u8; 32] {
@@ -284,10 +297,7 @@ impl std::fmt::Debug for KhfKeys {
 }
 
 impl KeyStore for KhfKeys {
-    const SNAPSHOT_MAGIC: &'static [u8; 4] = b"MKH1";
-    const BACKEND: crate::tree::TreeBackend = crate::tree::TreeBackend::Khf;
-
-    fn new_root<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+    fn new_root<R: RngCore + ?Sized>(_cfg: TreeConfig, rng: &mut R) -> Self {
         let mut forest = [0u8; FOREST_SECRET_LEN];
         rng.fill_bytes(&mut forest);
         KhfKeys {
@@ -295,6 +305,10 @@ impl KeyStore for KhfKeys {
             parent: vec![None],
             overrides: BTreeMap::new(),
         }
+    }
+
+    fn backend(&self) -> TreeBackend {
+        TreeBackend::Khf
     }
 
     fn on_alloc<R: RngCore + ?Sized>(&mut self, node: usize, parent: Option<usize>, _rng: &mut R) {
@@ -334,12 +348,16 @@ impl KeyStore for KhfKeys {
         FOREST_SECRET_LEN + self.overrides.len() * SYMMETRIC_KEY_LEN
     }
 
-    fn restore_shell(capacity: usize) -> Self {
-        KhfKeys {
+    fn snapshot_magic(&self) -> &'static [u8; 4] {
+        Self::MAGIC
+    }
+
+    fn restore_shell(magic: &[u8], capacity: usize) -> Option<Self> {
+        (magic == Self::MAGIC).then(|| KhfKeys {
             forest: [0u8; FOREST_SECRET_LEN],
             parent: Vec::with_capacity(capacity),
             overrides: BTreeMap::new(),
-        }
+        })
     }
 
     fn snapshot_node(&self, _node: usize, _out: &mut Vec<u8>) {}
@@ -392,14 +410,123 @@ impl KeyStore for KhfKeys {
     }
 }
 
+/// The store an area controller's tree runs on: either backend, chosen
+/// once — from [`TreeConfig::backend`] at construction, from the
+/// snapshot magic at restore — with every call forwarded to it.
+#[derive(Debug, Clone)]
+pub enum AreaKeys {
+    /// Every key stored explicitly (the paper's design).
+    Explicit(ExplicitKeys),
+    /// Keyed-hash-forest derivation; O(updated set) resident key bytes.
+    Khf(KhfKeys),
+}
+
+impl KeyStore for AreaKeys {
+    fn new_root<R: RngCore + ?Sized>(cfg: TreeConfig, rng: &mut R) -> Self {
+        match cfg.backend() {
+            TreeBackend::Explicit => AreaKeys::Explicit(ExplicitKeys::new_root(cfg, rng)),
+            TreeBackend::Khf => AreaKeys::Khf(KhfKeys::new_root(cfg, rng)),
+        }
+    }
+
+    fn backend(&self) -> TreeBackend {
+        match self {
+            AreaKeys::Explicit(s) => s.backend(),
+            AreaKeys::Khf(s) => s.backend(),
+        }
+    }
+
+    fn on_alloc<R: RngCore + ?Sized>(&mut self, node: usize, parent: Option<usize>, rng: &mut R) {
+        match self {
+            AreaKeys::Explicit(s) => s.on_alloc(node, parent, rng),
+            AreaKeys::Khf(s) => s.on_alloc(node, parent, rng),
+        }
+    }
+
+    fn key(&self, node: usize, version: u64) -> SymmetricKey {
+        match self {
+            AreaKeys::Explicit(s) => s.key(node, version),
+            AreaKeys::Khf(s) => s.key(node, version),
+        }
+    }
+
+    fn rotate<R: RngCore + ?Sized>(
+        &mut self,
+        node: usize,
+        old_version: u64,
+        style: RotateStyle,
+        rng: &mut R,
+    ) -> SymmetricKey {
+        match self {
+            AreaKeys::Explicit(s) => s.rotate(node, old_version, style, rng),
+            AreaKeys::Khf(s) => s.rotate(node, old_version, style, rng),
+        }
+    }
+
+    fn resident_key_bytes(&self) -> usize {
+        match self {
+            AreaKeys::Explicit(s) => s.resident_key_bytes(),
+            AreaKeys::Khf(s) => s.resident_key_bytes(),
+        }
+    }
+
+    fn snapshot_magic(&self) -> &'static [u8; 4] {
+        match self {
+            AreaKeys::Explicit(s) => s.snapshot_magic(),
+            AreaKeys::Khf(s) => s.snapshot_magic(),
+        }
+    }
+
+    fn restore_shell(magic: &[u8], capacity: usize) -> Option<Self> {
+        ExplicitKeys::restore_shell(magic, capacity)
+            .map(AreaKeys::Explicit)
+            .or_else(|| KhfKeys::restore_shell(magic, capacity).map(AreaKeys::Khf))
+    }
+
+    fn snapshot_node(&self, node: usize, out: &mut Vec<u8>) {
+        match self {
+            AreaKeys::Explicit(s) => s.snapshot_node(node, out),
+            AreaKeys::Khf(s) => s.snapshot_node(node, out),
+        }
+    }
+
+    fn restore_node(
+        &mut self,
+        node: usize,
+        parent: Option<usize>,
+        input: &mut &[u8],
+    ) -> Result<(), &'static str> {
+        match self {
+            AreaKeys::Explicit(s) => s.restore_node(node, parent, input),
+            AreaKeys::Khf(s) => s.restore_node(node, parent, input),
+        }
+    }
+
+    fn snapshot_tail(&self, out: &mut Vec<u8>) {
+        match self {
+            AreaKeys::Explicit(s) => s.snapshot_tail(out),
+            AreaKeys::Khf(s) => s.snapshot_tail(out),
+        }
+    }
+
+    fn restore_tail(&mut self, node_count: usize, input: &mut &[u8]) -> Result<(), &'static str> {
+        match self {
+            AreaKeys::Explicit(s) => s.restore_tail(node_count, input),
+            AreaKeys::Khf(s) => s.restore_tail(node_count, input),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::AreaTree;
+    use crate::MemberId;
     use mykil_crypto::drbg::Drbg;
 
     fn khf_with(nodes: &[Option<usize>]) -> KhfKeys {
         let mut rng = Drbg::from_seed(77);
-        let mut store = KhfKeys::new_root(&mut rng);
+        let mut store = KhfKeys::new_root(TreeConfig::quad(), &mut rng);
         for (i, &p) in nodes.iter().enumerate().skip(1) {
             store.on_alloc(i, p, &mut rng);
         }
@@ -461,9 +588,37 @@ mod tests {
     }
 
     #[test]
+    fn backend_selection_follows_config() {
+        let mut rng = Drbg::from_seed(1);
+        let explicit = AreaTree::new(TreeConfig::quad(), &mut rng);
+        assert_eq!(explicit.config().backend(), TreeBackend::Explicit);
+        let khf = AreaTree::new(TreeConfig::quad().with_backend(TreeBackend::Khf), &mut rng);
+        assert_eq!(khf.config().backend(), TreeBackend::Khf);
+    }
+
+    #[test]
+    fn restore_dispatches_on_magic() {
+        let mut rng = Drbg::from_seed(2);
+        for backend in [TreeBackend::Explicit, TreeBackend::Khf] {
+            let mut t = AreaTree::new(TreeConfig::quad().with_backend(backend), &mut rng);
+            for m in 0..12 {
+                t.join(MemberId(m), &mut rng).unwrap();
+            }
+            t.leave(MemberId(3), &mut rng).unwrap();
+            let restored = AreaTree::restore(&t.snapshot()).unwrap();
+            assert_eq!(restored.config().backend(), backend);
+            assert_eq!(restored.member_count(), t.member_count());
+            assert_eq!(restored.area_key(), t.area_key());
+            restored.check_invariants();
+        }
+        assert!(AreaTree::restore(b"ZZZZrest").is_err());
+        assert!(AreaTree::restore(b"").is_err());
+    }
+
+    #[test]
     fn explicit_store_resident_bytes_are_linear() {
         let mut rng = Drbg::from_seed(3);
-        let mut store = ExplicitKeys::new_root(&mut rng);
+        let mut store = ExplicitKeys::new_root(TreeConfig::quad(), &mut rng);
         for i in 1..10 {
             store.on_alloc(i, Some(0), &mut rng);
         }

@@ -2,7 +2,7 @@
 
 use crate::error::TreeError;
 use crate::plan::{EncryptUnder, KeyChange, RekeyPlan, UnicastKeys};
-use crate::store::{ExplicitKeys, KeyStore, KhfKeys, RotateStyle};
+use crate::store::{AreaKeys, ExplicitKeys, KeyStore, KhfKeys, RotateStyle};
 use crate::MemberId;
 use mykil_crypto::keys::SymmetricKey;
 use rand::RngCore;
@@ -41,7 +41,8 @@ impl std::fmt::Display for NodeIdx {
 }
 
 /// Which [`KeyStore`] backend an area's tree uses (selected through
-/// `TreeConfig` and, one level up, `GroupBuilder::tree_backend`).
+/// `TreeConfig` and, one level up, `GroupBuilder::tree_backend`;
+/// [`AreaKeys`] acts on the selection).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TreeBackend {
     /// Every node key stored explicitly (the paper's design).
@@ -91,7 +92,7 @@ impl TreeConfig {
     /// deliberately *avoids* (Section III-D keeps empty leaves so the
     /// next join is cheap). Exists for the ablation benchmark.
     ///
-    /// Pruned trees do not support [`KeyTree::snapshot`]/`restore`
+    /// Pruned trees do not support [`Tree::snapshot`]/`restore`
     /// (replication is a Mykil feature; the ablation models plain LKH).
     pub fn prune_on_leave(mut self, on: bool) -> TreeConfig {
         self.prune_on_leave = on;
@@ -103,15 +104,16 @@ impl TreeConfig {
         self.prune_on_leave
     }
 
-    /// Selects the key-storage backend used when the tree is built
-    /// through [`crate::AreaTree::new`] (a concrete `Tree<S>` ignores
-    /// this and is whatever its type parameter says).
+    /// Selects the key-storage backend of an [`AreaTree`]. A
+    /// single-backend `Tree<S>` runs whatever `S` is, and its
+    /// [`Tree::config`] reports that backend instead.
     pub fn with_backend(mut self, backend: TreeBackend) -> TreeConfig {
         self.backend = backend;
         self
     }
 
-    /// The configured key-storage backend.
+    /// The key-storage backend (as selected, or as run once the config
+    /// belongs to a tree).
     pub fn backend(&self) -> TreeBackend {
         self.backend
     }
@@ -178,8 +180,17 @@ pub type KeyTree = Tree<ExplicitKeys>;
 /// resident key bytes.
 pub type KhfTree = Tree<KhfKeys>;
 
+/// An area's tree as an area controller holds it: the backend is
+/// chosen at runtime by [`TreeConfig::backend`] (or by the snapshot
+/// magic on restore) inside [`AreaKeys`]. Plans, wire encodings and
+/// placement are identical across backends; only key values and the
+/// controller's storage bill differ.
+pub type AreaTree = Tree<AreaKeys>;
+
 impl<S: KeyStore> Tree<S> {
-    /// Creates a tree containing only the root (area-key) node.
+    /// Creates a tree containing only the root (area-key) node. The
+    /// store sees `cfg` (an [`AreaKeys`] store takes its backend from
+    /// it); the tree's config then reports the backend the store runs.
     pub fn new<R: RngCore + ?Sized>(cfg: TreeConfig, rng: &mut R) -> Tree<S> {
         let root = NodeEntry {
             parent: None,
@@ -190,10 +201,11 @@ impl<S: KeyStore> Tree<S> {
         };
         let mut open_internal = BTreeSet::new();
         open_internal.insert((0, NodeIdx(0)));
+        let store = S::new_root(cfg, rng);
         Tree {
-            cfg,
+            cfg: cfg.with_backend(store.backend()),
             nodes: vec![root],
-            store: S::new_root(rng),
+            store,
             members: BTreeMap::new(),
             vacant: BTreeSet::new(),
             open_internal,
@@ -231,9 +243,14 @@ impl<S: KeyStore> Tree<S> {
         NodeIdx(0)
     }
 
-    /// Current key of a node, owned (a derivation backend has no stored
-    /// key to borrow; explicit trees additionally offer the borrowed
-    /// [`KeyTree::key_of`]).
+    /// The current area key (the root key).
+    pub fn area_key(&self) -> SymmetricKey {
+        self.node_key(self.root())
+    }
+
+    /// Current key of a node. Keys are returned owned on every backend:
+    /// a derivation backend has no stored key to borrow, and a copy is a
+    /// 16-byte move with no allocation.
     ///
     /// # Panics
     ///
@@ -281,8 +298,7 @@ impl<S: KeyStore> Tree<S> {
     ///
     /// This is exactly the key set a Mykil member stores — about 11 keys
     /// for a 5000-member area in the paper's Section V-A arithmetic.
-    /// Callers on hot paths reuse `out` across calls; explicit trees can
-    /// iterate [`KeyTree::path_key_refs`] instead and copy nothing.
+    /// Callers on hot paths reuse `out` across calls.
     ///
     /// # Errors
     ///
@@ -653,12 +669,12 @@ impl<S: KeyStore> Tree<S> {
 
     // ---- snapshot-restore plumbing (see `snapshot.rs`) ----
 
-    /// Creates an empty tree shell for restore.
-    pub(crate) fn restore_shell(cfg: TreeConfig, capacity: usize) -> Tree<S> {
+    /// Creates an empty tree shell for restore around an empty `store`.
+    pub(crate) fn restore_shell(arity: usize, store: S, capacity: usize) -> Tree<S> {
         Tree {
-            cfg,
+            cfg: TreeConfig::with_arity(arity).with_backend(store.backend()),
             nodes: Vec::with_capacity(capacity),
-            store: S::restore_shell(capacity),
+            store,
             members: BTreeMap::new(),
             vacant: BTreeSet::new(),
             open_internal: BTreeSet::new(),
@@ -795,41 +811,6 @@ impl<S: KeyStore> Tree<S> {
     }
 }
 
-impl Tree<ExplicitKeys> {
-    /// The current area key (the root key), borrowed from the tree.
-    ///
-    /// Explicit key storage lives in the store's arena; accessors hand
-    /// out borrowed views so reading a key never copies (or later
-    /// zeroizes) key material. Callers that must retain a key across a
-    /// tree mutation clone explicitly. Derivation backends have nothing
-    /// to borrow — generic code uses the owned
-    /// [`Tree::node_key`]/[`crate::AuxTree::area_key`] instead.
-    pub fn area_key(&self) -> &SymmetricKey {
-        self.store.key_ref(0)
-    }
-
-    /// Current key of a node, borrowed from the tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an index from a different tree.
-    pub fn key_of(&self, node: NodeIdx) -> &SymmetricKey {
-        self.store.key_ref(node.0)
-    }
-
-    /// Borrowed `(node, key)` pairs on the member's path, leaf first,
-    /// root last — the allocation-free view behind
-    /// [`Tree::path_keys_into`]. Serializers iterate this directly
-    /// instead of materializing a cloned path vector.
-    pub fn path_key_refs(
-        &self,
-        member: MemberId,
-    ) -> Result<impl Iterator<Item = (NodeIdx, &SymmetricKey)> + '_, TreeError> {
-        let leaf = self.leaf_of(member)?;
-        Ok(self.ancestors(leaf).map(|n| (n, self.store.key_ref(n.0))))
-    }
-}
-
 /// Iterator over a node's path to the root via the stored parent links.
 /// See [`Tree::ancestors`].
 pub struct Ancestors<'a, S: KeyStore> {
@@ -863,7 +844,7 @@ mod tests {
         assert_eq!(tree.member_count(), 0);
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.height(), 0);
-        assert_eq!(tree.key_of(tree.root()), tree.area_key());
+        assert_eq!(tree.node_key(tree.root()), tree.area_key());
         tree.check_invariants();
     }
 
@@ -922,9 +903,9 @@ mod tests {
         for m in 0..8 {
             tree.join(MemberId(m), &mut r).unwrap();
         }
-        let area_key_before = tree.area_key().clone();
+        let area_key_before = tree.area_key();
         let plan = tree.join(MemberId(100), &mut r).unwrap();
-        assert_ne!(tree.area_key(), &area_key_before, "area key must rotate");
+        assert_ne!(tree.area_key(), area_key_before, "area key must rotate");
         // Every change is distributed under the previous self key.
         for c in &plan.changes {
             assert_eq!(c.encryptions.len(), 1);
@@ -1006,16 +987,9 @@ mod tests {
         tree.path_keys_into(MemberId(5), &mut path).unwrap();
         assert!(path.len() >= 2);
         assert_eq!(path.last().unwrap().0, tree.root());
-        assert_eq!(&path.last().unwrap().1, tree.area_key());
+        assert_eq!(path.last().unwrap().1, tree.area_key());
         // First entry is the member's own leaf.
         assert_eq!(tree.occupant_of(path[0].0), Some(MemberId(5)));
-        // The borrowed view walks the same pairs without copying.
-        let refs: Vec<(NodeIdx, SymmetricKey)> = tree
-            .path_key_refs(MemberId(5))
-            .unwrap()
-            .map(|(n, k)| (n, k.clone()))
-            .collect();
-        assert_eq!(refs, path);
     }
 
     #[test]
@@ -1102,6 +1076,47 @@ mod tests {
         // The plan's new keys match what the tree now reports.
         for c in &plan.changes {
             assert_eq!(c.new_key, tree.node_key(c.node));
+        }
+    }
+
+    #[test]
+    fn generic_code_runs_on_both_backends() {
+        fn churn<S: KeyStore>(tree: &mut Tree<S>, rng: &mut Drbg) -> usize {
+            for m in 0..10 {
+                tree.join(MemberId(m), rng).unwrap();
+            }
+            tree.batch(&[MemberId(100)], &[MemberId(2), MemberId(5)], rng)
+                .unwrap();
+            tree.check_invariants();
+            tree.resident_key_bytes()
+        }
+        let mut rng = Drbg::from_seed(3);
+        let mut explicit = KeyTree::new(TreeConfig::quad(), &mut rng);
+        let mut khf = KhfTree::new(TreeConfig::quad(), &mut rng);
+        let explicit_resident = churn(&mut explicit, &mut rng);
+        let khf_resident = churn(&mut khf, &mut rng);
+        assert_eq!(explicit.member_count(), khf.member_count());
+        assert!(khf_resident < explicit_resident);
+    }
+
+    /// A tree's config names the backend its store runs, whatever the
+    /// config asked for, so it survives a snapshot round trip.
+    #[test]
+    fn config_reports_the_backend_the_store_runs() {
+        fn round_trip<S: KeyStore>(cfg: TreeConfig, expect: TreeBackend) {
+            let mut r = rng();
+            let mut t = Tree::<S>::new(cfg, &mut r);
+            for m in 0..6 {
+                t.join(MemberId(m), &mut r).unwrap();
+            }
+            assert_eq!(t.config().backend(), expect);
+            assert_eq!(Tree::<S>::restore(&t.snapshot()).unwrap().config(), t.config());
+        }
+        for asked in [TreeBackend::Explicit, TreeBackend::Khf] {
+            let cfg = TreeConfig::quad().with_backend(asked);
+            round_trip::<ExplicitKeys>(cfg, TreeBackend::Explicit);
+            round_trip::<KhfKeys>(cfg, TreeBackend::Khf);
+            round_trip::<AreaKeys>(cfg, asked);
         }
     }
 
@@ -1220,9 +1235,9 @@ mod prune_tests {
     fn forward_secrecy_holds_in_prune_mode() {
         let mut r = Drbg::from_seed(4);
         let mut t = build(true, 16, &mut r);
-        let key_before = t.area_key().clone();
+        let key_before = t.area_key();
         let plan = t.leave(MemberId(5), &mut r).unwrap();
-        assert_ne!(t.area_key(), &key_before);
+        assert_ne!(t.area_key(), key_before);
         // No encryption under the departed leaf's key.
         for c in &plan.changes {
             for (under, _) in &c.encryptions {

@@ -9,9 +9,16 @@
 //! - identical member-visible verdicts: every present member's view
 //!   converges to its path, departed members learn nothing,
 //! - both backends pass `check_invariants` at every step.
+//!
+//! The area controller's runtime-selected tree must in turn be
+//! bit-identical to the backend it selects: same plans and key values,
+//! same snapshot bytes, same resident key bytes.
 
 use mykil_crypto::drbg::Drbg;
-use mykil_tree::{EncryptUnder, KeyStore, MemberId, MemberView, RekeyPlan, Tree, TreeConfig};
+use mykil_tree::{
+    AreaKeys, EncryptUnder, ExplicitKeys, KeyStore, KhfKeys, MemberId, MemberView, RekeyPlan,
+    Tree, TreeBackend, TreeConfig,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -100,85 +107,75 @@ impl<S: KeyStore> Side<S> {
             }
         }
     }
+
+    /// Drops the views of `gone` after asserting none of them can read
+    /// anything in `plan` (forward secrecy).
+    fn evict(&mut self, gone: &[MemberId], plan: &RekeyPlan) {
+        for m in gone {
+            let mut view = self.views.remove(m).unwrap();
+            assert_eq!(view.apply_plan(plan), 0, "{m} reads a rekey after leaving");
+        }
+    }
+
+    /// Runs `op` on the tree and distributes its plans to the member
+    /// views, returning the plans in order. New members are numbered
+    /// from `next_member`; leavers are picked from the current members.
+    fn apply(&mut self, op: &Op, next_member: &mut u64) -> Vec<RekeyPlan> {
+        let members: Vec<MemberId> = self.tree.members().collect();
+        let pick = |p: &u8| members.get(*p as usize % members.len().max(1)).copied();
+        let mut fresh = |n: u8| -> Vec<MemberId> {
+            (0..n)
+                .map(|_| {
+                    *next_member += 1;
+                    MemberId(*next_member - 1)
+                })
+                .collect()
+        };
+        let (plan, gone) = match op {
+            Op::Join(n) => {
+                let mut plans = Vec::new();
+                for m in fresh(*n) {
+                    let plan = self.tree.join(m, &mut self.rng).unwrap();
+                    self.distribute(&plan);
+                    plans.push(plan);
+                }
+                return plans;
+            }
+            Op::LeaveNth(n) => {
+                let Some(victim) = pick(n) else {
+                    return Vec::new();
+                };
+                (self.tree.leave(victim, &mut self.rng).unwrap(), vec![victim])
+            }
+            Op::Batch { joins, leave_picks } => {
+                let mut leavers: Vec<MemberId> = leave_picks.iter().filter_map(pick).collect();
+                leavers.sort_unstable();
+                leavers.dedup();
+                let joiners = fresh(*joins);
+                let outcome = self.tree.batch(&joiners, &leavers, &mut self.rng).unwrap();
+                (outcome.plan, leavers)
+            }
+            Op::RotateArea => (self.tree.rotate_area_key(&mut self.rng), Vec::new()),
+        };
+        self.evict(&gone, &plan);
+        self.distribute(&plan);
+        vec![plan]
+    }
 }
 
 fn run_equivalence(arity: usize, seed: u64, ops: &[Op]) {
     let cfg = TreeConfig::with_arity(arity);
     // Different RNG streams on purpose: equivalence must not depend on
     // the backends drawing the same bytes.
-    let mut e: Side<mykil_tree::ExplicitKeys> = Side::new(cfg, seed);
-    let mut k: Side<mykil_tree::KhfKeys> = Side::new(cfg, seed ^ 0x5eed_cafe);
-    let mut next_member = 0u64;
+    let mut e: Side<ExplicitKeys> = Side::new(cfg, seed);
+    let mut k: Side<KhfKeys> = Side::new(cfg, seed ^ 0x5eed_cafe);
+    let (mut next_e, mut next_k) = (0u64, 0u64);
 
     for op in ops {
-        match op {
-            Op::Join(n) => {
-                for _ in 0..*n {
-                    let m = MemberId(next_member);
-                    next_member += 1;
-                    let pe = e.tree.join(m, &mut e.rng).unwrap();
-                    let pk = k.tree.join(m, &mut k.rng).unwrap();
-                    assert_eq!(shape(&pe), shape(&pk), "join({m}) plans diverge");
-                    e.distribute(&pe);
-                    k.distribute(&pk);
-                }
-            }
-            Op::LeaveNth(n) => {
-                let members: Vec<MemberId> = e.tree.members().collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let victim = members[*n as usize % members.len()];
-                let pe = e.tree.leave(victim, &mut e.rng).unwrap();
-                let pk = k.tree.leave(victim, &mut k.rng).unwrap();
-                assert_eq!(shape(&pe), shape(&pk), "leave({victim}) plans diverge");
-                // Forward secrecy verdict must agree on both backends.
-                let mut gone_e = e.views.remove(&victim).unwrap();
-                let mut gone_k = k.views.remove(&victim).unwrap();
-                assert_eq!(gone_e.apply_plan(&pe), 0, "explicit forward secrecy");
-                assert_eq!(gone_k.apply_plan(&pk), 0, "khf forward secrecy");
-                e.distribute(&pe);
-                k.distribute(&pk);
-            }
-            Op::Batch { joins, leave_picks } => {
-                let members: Vec<MemberId> = e.tree.members().collect();
-                let mut leavers: Vec<MemberId> = if members.is_empty() {
-                    Vec::new()
-                } else {
-                    leave_picks
-                        .iter()
-                        .map(|p| members[*p as usize % members.len()])
-                        .collect()
-                };
-                leavers.sort_unstable();
-                leavers.dedup();
-                let joiners: Vec<MemberId> = (0..*joins)
-                    .map(|_| {
-                        let m = MemberId(next_member);
-                        next_member += 1;
-                        m
-                    })
-                    .collect();
-                let oe = e.tree.batch(&joiners, &leavers, &mut e.rng).unwrap();
-                let ok = k.tree.batch(&joiners, &leavers, &mut k.rng).unwrap();
-                assert_eq!(shape(&oe.plan), shape(&ok.plan), "batch plans diverge");
-                for v in &leavers {
-                    let mut gone_e = e.views.remove(v).unwrap();
-                    let mut gone_k = k.views.remove(v).unwrap();
-                    assert_eq!(gone_e.apply_plan(&oe.plan), 0);
-                    assert_eq!(gone_k.apply_plan(&ok.plan), 0);
-                }
-                e.distribute(&oe.plan);
-                k.distribute(&ok.plan);
-            }
-            Op::RotateArea => {
-                let pe = e.tree.rotate_area_key(&mut e.rng);
-                let pk = k.tree.rotate_area_key(&mut k.rng);
-                assert_eq!(shape(&pe), shape(&pk), "area rotation plans diverge");
-                e.distribute(&pe);
-                k.distribute(&pk);
-            }
-        }
+        let pe = e.apply(op, &mut next_e);
+        let pk = k.apply(op, &mut next_k);
+        let shapes = |plans: &[RekeyPlan]| plans.iter().map(shape).collect::<Vec<_>>();
+        assert_eq!(shapes(&pe), shapes(&pk), "{op:?} plans diverge");
 
         // Structure equivalence after every operation.
         assert_eq!(e.tree.node_count(), k.tree.node_count());
@@ -210,6 +207,27 @@ fn run_equivalence(arity: usize, seed: u64, ops: &[Op]) {
     }
 }
 
+/// [`AreaTree`](mykil_tree::AreaTree) selecting `backend` against the
+/// `Tree<S>` it wraps, on the same seed: every plan (keys included),
+/// every snapshot byte and the resident key bytes must match after
+/// every operation. This is what keeps replays through an area
+/// controller byte-identical to the bare backend.
+fn run_area_identity<S: KeyStore>(backend: TreeBackend, arity: usize, seed: u64, ops: &[Op]) {
+    let cfg = TreeConfig::with_arity(arity).with_backend(backend);
+    let mut area: Side<AreaKeys> = Side::new(cfg, seed);
+    let mut bare: Side<S> = Side::new(cfg, seed);
+    let (mut next_a, mut next_b) = (0u64, 0u64);
+    assert_eq!(area.tree.snapshot(), bare.tree.snapshot());
+    for op in ops {
+        let pa = area.apply(op, &mut next_a);
+        let pb = bare.apply(op, &mut next_b);
+        assert_eq!(pa, pb, "{op:?} plans differ");
+        assert_eq!(area.tree.snapshot(), bare.tree.snapshot(), "{op:?} snapshots differ");
+        assert_eq!(area.tree.resident_key_bytes(), bare.tree.resident_key_bytes());
+    }
+    area.check_converged();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -227,6 +245,16 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
         run_equivalence(2, seed, &ops);
+    }
+
+    #[test]
+    fn area_tree_is_bit_identical_to_its_backend(
+        seed in any::<u64>(),
+        arity in 2usize..5,
+        ops in proptest::collection::vec(op_strategy(), 1..12),
+    ) {
+        run_area_identity::<ExplicitKeys>(TreeBackend::Explicit, arity, seed, &ops);
+        run_area_identity::<KhfKeys>(TreeBackend::Khf, arity, seed, &ops);
     }
 
     /// Snapshot round-trips preserve every per-node version counter on
@@ -256,8 +284,8 @@ proptest! {
         }
 
         let cfg = TreeConfig::quad();
-        let mut e: Side<mykil_tree::ExplicitKeys> = Side::new(cfg, seed);
-        let mut k: Side<mykil_tree::KhfKeys> = Side::new(cfg, seed ^ 1);
+        let mut e: Side<ExplicitKeys> = Side::new(cfg, seed);
+        let mut k: Side<KhfKeys> = Side::new(cfg, seed ^ 1);
         let mut next = 0u64;
         for op in &ops {
             match op {
